@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (or verification PASS / homomorphism found),
 1 verification failure (or no homomorphism / property fails),
-2 usage or input errors.
+2 usage or input errors, 3 undecided: a search ran out of its time
+budget, of stack or of memory.
 
 Examples:
   orihex tourn list -k 5
@@ -32,7 +33,12 @@ from .digraph import (
 )
 from .hexcolor import check_property1, color_hex
 from .hexgrid import build_hex_grid, fixture_h4, fixture_h49
-from .homomorphism import brute_force_hom, chi_o, homomorphism_exists
+from .homomorphism import (
+    SearchBudgetExceeded,
+    brute_force_hom,
+    chi_o,
+    homomorphism_exists,
+)
 from .opl import export_opl_data, export_opl_model
 from .tournaments import (
     canonical_form,
@@ -184,7 +190,7 @@ def _cmd_export_opl(args) -> int:
 
 
 def _cmd_verify_paper(args) -> int:
-    report = verify_paper(seed=args.seed, scale=args.scale, jobs=args.jobs)
+    report = verify_paper(seed=args.seed, scale=args.scale)
     if args.out:
         Path(args.out).write_text(report.to_json())
     if args.json:
@@ -265,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify-paper", help="run the full verification pipeline")
     vp.add_argument("--seed", type=int, default=0)
     vp.add_argument("--scale", choices=["small", "full"], default="small")
-    vp.add_argument("--jobs", type=int, default=1,
-                    help="run the homomorphism checks in N processes")
     vp.add_argument("--json", action="store_true")
     vp.add_argument("--out", help="also write the JSON report to this path")
     vp.set_defaults(fn=_cmd_verify_paper)
@@ -289,6 +293,10 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (SearchBudgetExceeded, RecursionError, MemoryError) as exc:
+        # never exit 1, which would read as a verdict
+        print(f"undecided: {type(exc).__name__} {exc}".rstrip(), file=sys.stderr)
+        return 3
 
 
 def main() -> None:

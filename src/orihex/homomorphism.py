@@ -1,14 +1,14 @@
 """Deciding homomorphism existence from an oriented graph to a tournament.
 
-Two independent routes: a complete backtracking search with forward
-checking (the workhorse), and an exhaustive map enumeration used as a
-cross-checking oracle on small instances. Both are deterministic.
+Two independent routes: a complete, iterative backtracking search that
+maintains arc consistency over bitmask domains (the workhorse), and an
+exhaustive map enumeration used as a cross-checking oracle on small
+instances. Both are deterministic.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -52,116 +52,152 @@ def validate_homomorphism(g: OrientedGraph, t: Tournament, phi: Sequence[int]) -
     for c in phi:
         if not (0 <= c < t.order):
             raise ValueError(f"color {c} outside 0..{t.order - 1}")
-    return all(t.has_arc(phi[u], phi[v]) for (u, v) in g.arcs)
+    out = t.out_masks
+    return all(out[phi[u]] >> phi[v] & 1 for (u, v) in g.arcs)
 
 
-def _components(g: OrientedGraph) -> list[list[int]]:
-    comp_of = [-1] * g.n_vertices
-    comps: list[list[int]] = []
-    for s in range(g.n_vertices):
-        if comp_of[s] >= 0:
+#: the largest target order searched: each support table holds 2^order entries
+MAX_SEARCH_ORDER = 16
+
+
+def _search_order(g: OrientedGraph) -> tuple[list[int], set[int]]:
+    """The static variable order, and the positions in it where the
+    connected components start.
+
+    One pass over the vertices by (-degree, index): each vertex not yet
+    placed roots its component, which is then placed breadth-first with
+    neighbors in ascending index. A component's root is therefore its
+    maximum-degree vertex, the lowest index on ties.
+    """
+    nbrs = g.neighbors
+    placed = [False] * g.n_vertices
+    order: list[int] = []
+    starts: set[int] = set()
+    head = 0
+    # sorted() is stable, so equal degrees stay in ascending index
+    for root in sorted(range(g.n_vertices), key=[-len(ns) for ns in nbrs].__getitem__):
+        if placed[root]:
             continue
-        comp = [s]
-        comp_of[s] = len(comps)
-        dq = deque([s])
-        while dq:
-            v = dq.popleft()
-            for (w, _) in g.neighbors[v]:
-                if comp_of[w] < 0:
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    dq.append(w)
-        comps.append(comp)
-    return comps
-
-
-def _bfs_order(g: OrientedGraph, comp: list[int]) -> list[int]:
-    # root: maximum total degree, lowest index on ties
-    deg = {v: len(g.neighbors[v]) for v in comp}
-    root = max(comp, key=lambda v: (deg[v], -v))
-    order = [root]
-    seen = {root}
-    dq = deque([root])
-    while dq:
-        v = dq.popleft()
-        for (w, _) in g.neighbors[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-                dq.append(w)
-    return order
+        starts.add(len(order))
+        placed[root] = True
+        order.append(root)
+        while head < len(order):
+            for (w, _) in nbrs[order[head]]:
+                if not placed[w]:
+                    placed[w] = True
+                    order.append(w)
+            head += 1
+    return order, starts
 
 
 def homomorphism_exists(
     g: OrientedGraph, t: Tournament, time_budget_s: float | None = None
 ) -> HomResult:
-    """Complete backtracking search for a homomorphism g -> t.
+    """Complete search for a homomorphism g -> t that maintains arc
+    consistency.
 
-    Vertices are assigned in breadth-first order from a maximum-degree
-    vertex (per connected component, components solved independently);
-    target vertices are tried in ascending order; forward checking prunes
-    the domains of unassigned neighbors after each assignment. The verdict
-    and, when found, the witness are deterministic.
+    Domains are bitmasks of target vertices. Arc consistency runs once at
+    the root and again after every assignment: across each arc, a vertex
+    keeps only the colors that some color of its neighbor supports,
+    doms[w] & sup[doms[v]] with the target's out- or in-support table,
+    until no domain changes. Changes are undone through a trail of
+    (vertex, old domain) pairs.
+
+    Vertices are assigned in the static order of `_search_order`, target
+    vertices tried in ascending order. Propagation only removes colors
+    that no homomorphism extending the current assignment uses, so the
+    witness is the lexicographically first in that order; it and the
+    verdict are deterministic. Components share no arcs: when the first
+    vertex of a component runs out of colors, no homomorphism exists.
+
+    `nodes_expanded` counts the colors tried and `max_depth` the most
+    vertices assigned at once. With a time budget, the deadline is checked
+    at every node, and SearchBudgetExceeded is raised once it has passed.
     """
     k = t.order
-    full = (1 << k) - 1
+    if k > MAX_SEARCH_ORDER:
+        raise ValueError(f"target order {k} exceeds the search limit {MAX_SEARCH_ORDER}")
     if g.n_vertices and k == 0:
         return HomResult(False, None, 0, 0)
-    out_m, in_m = t.out_masks, t.in_masks
-    assignment = [-1] * g.n_vertices
+    deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
+    nbrs = g.neighbors
+    out_sup, in_sup = t.out_support, t.in_support
+    full = (1 << k) - 1
+    doms = [full] * g.n_vertices
+    # full domains are arc consistent unless the target has a source or a
+    # sink; otherwise every vertex starts on the propagation stack
+    pending = list(range(g.n_vertices)) if out_sup[full] & in_sup[full] != full else []
+    queued = [bool(pending)] * g.n_vertices
+    trail: list[tuple[int, int]] = []
+
+    def propagate(stack: list[int]) -> bool:
+        """Revise the neighbors of each vertex on the stack, and of every
+        vertex whose domain that narrows, until no domain changes. False
+        on a wipeout. Every vertex on the stack must be marked queued."""
+        while stack:
+            v = stack.pop()
+            queued[v] = False
+            dv = doms[v]
+            for (w, outgoing) in nbrs[v]:
+                dw = doms[w]
+                nd = dw & (out_sup[dv] if outgoing else in_sup[dv])
+                if nd != dw:
+                    if not nd:
+                        for u in stack:
+                            queued[u] = False
+                        return False
+                    trail.append((w, dw))
+                    doms[w] = nd
+                    if not queued[w]:
+                        queued[w] = True
+                        stack.append(w)
+        return True
+
+    if not propagate(pending):
+        return HomResult(False, None, 0, 0)
+    order, starts = _search_order(g)
+    m = len(order)
+    choices = [0] * m  # colors still to try at each position
+    marks = [0] * m  # trail length before each position's assignment
     nodes = 0
     max_depth = 0
-    deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
+    p = 0
+    if m:
+        choices[0] = doms[order[0]]
+        marks[0] = len(trail)
+    while p < m:
+        vals = choices[p]
+        if not vals:
+            if p in starts:
+                return HomResult(False, None, nodes, max_depth)
+            p -= 1
+            continue
+        low = vals & -vals
+        choices[p] = vals ^ low
+        nodes += 1
+        if deadline is not None and time.monotonic() > deadline:
+            raise SearchBudgetExceeded(f"time budget {time_budget_s}s exceeded")
+        mark = marks[p]
+        while len(trail) > mark:
+            w, d = trail.pop()
+            doms[w] = d
+        v = order[p]
+        # assigning a vertex its only color changes nothing: the domains
+        # are already arc consistent
+        if doms[v] != low:
+            trail.append((v, doms[v]))
+            doms[v] = low
+            queued[v] = True
+            if not propagate([v]):
+                continue
+        p += 1
+        if p > max_depth:
+            max_depth = p
+        if p < m:
+            choices[p] = doms[order[p]]
+            marks[p] = len(trail)
 
-    for comp in _components(g):
-        order = _bfs_order(g, comp)
-        pos = {v: i for i, v in enumerate(order)}
-        # constraints from each position to later positions, with the mask
-        # table the assigned color selects from
-        post: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in order]
-        for i, v in enumerate(order):
-            for (w, outgoing) in g.neighbors[v]:
-                if pos[w] > i:
-                    post[i].append((pos[w], out_m if outgoing else in_m))
-        m = len(order)
-        doms = [full] * m
-
-        def bt(p: int) -> bool:
-            nonlocal nodes, max_depth
-            if p == m:
-                return True
-            if p >= max_depth:
-                max_depth = p + 1
-            if deadline is not None and (nodes & 0xFFFF) == 0 and time.monotonic() > deadline:
-                raise SearchBudgetExceeded(f"time budget {time_budget_s}s exceeded")
-            vals = doms[p]
-            while vals:
-                low = vals & (-vals)
-                vals ^= low
-                c = low.bit_length() - 1
-                nodes += 1
-                saved = []
-                ok = True
-                for (q, masks) in post[p]:
-                    narrowed = doms[q] & masks[c]
-                    if narrowed != doms[q]:
-                        saved.append((q, doms[q]))
-                        doms[q] = narrowed
-                        if not narrowed:
-                            ok = False
-                            break
-                if ok:
-                    assignment[order[p]] = c
-                    if bt(p + 1):
-                        return True
-                for (q, old) in saved:
-                    doms[q] = old
-            return False
-
-        if not bt(0):
-            return HomResult(False, None, nodes, max_depth)
-
-    witness = tuple(assignment)
+    witness = tuple(d.bit_length() - 1 for d in doms)
     assert validate_homomorphism(g, t, witness)
     return HomResult(True, witness, nodes, max_depth)
 

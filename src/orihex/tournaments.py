@@ -86,6 +86,18 @@ class Tournament:
         return tuple(masks)
 
     @cached_property
+    def out_support(self) -> tuple[int, ...]:
+        """Entry D (a vertex-set bitmask): the vertices some member of D
+        dominates, the union of their out-masks."""
+        return _support_table(self.out_masks)
+
+    @cached_property
+    def in_support(self) -> tuple[int, ...]:
+        """Entry D (a vertex-set bitmask): the vertices dominating some
+        member of D, the union of their in-masks."""
+        return _support_table(self.in_masks)
+
+    @cached_property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple(
             (u, v) if self.has_arc(u, v) else (v, u) for (u, v) in _pairs(self.order)
@@ -116,6 +128,14 @@ class Tournament:
             tuple(v for v in range(self.order) if self.has_arc(v, u))
             for u in range(self.order)
         )
+
+
+def _support_table(masks: Sequence[int]) -> tuple[int, ...]:
+    # sets containing vertex i sit at D = 2^i + D' with D' < 2^i
+    table = [0]
+    for mask in masks:
+        table += [entry | mask for entry in table]
+    return tuple(table)
 
 
 def parse_tournament(bits: str, k: int) -> Tournament:

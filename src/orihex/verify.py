@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import __version__
@@ -125,14 +124,13 @@ def _record(name, mandatory, fn, inputs) -> CheckRecord:
     return CheckRecord(name, mandatory, verdict, inputs, details, elapsed)
 
 
-def _hom_fixture_task(args: tuple[str, str, float | None]) -> dict:
-    """Worker: solve fixture-vs-tournament; safe to run in a subprocess."""
-    fixture_name, tname, budget = args
-    fixture = fixture_h4() if fixture_name == "H4" else fixture_h49()
+def _hom_search(fixture_name: str, graph, tname: str) -> dict:
+    """Solve fixture-vs-tournament under the solver budget; the report's
+    record of the search."""
     t = named_tournament(tname)
     start = time.perf_counter()
     try:
-        result = homomorphism_exists(fixture.graph, t, time_budget_s=budget)
+        result = homomorphism_exists(graph, t, time_budget_s=SOLVER_BUDGET_S)
     except SearchBudgetExceeded:
         return {
             "fixture": fixture_name,
@@ -142,7 +140,7 @@ def _hom_fixture_task(args: tuple[str, str, float | None]) -> dict:
         }
     witness_ok = None
     if result.found:
-        witness_ok = validate_homomorphism(fixture.graph, t, result.witness)
+        witness_ok = validate_homomorphism(graph, t, result.witness)
     return {
         "fixture": fixture_name,
         "target": tname,
@@ -298,7 +296,7 @@ def _upper_bound_sampled(seed: int, scale: str):
     return "PASS" if ok else "FAIL", details
 
 
-def verify_paper(seed: int = 0, scale: str = "small", jobs: int = 1) -> VerificationReport:
+def verify_paper(seed: int = 0, scale: str = "small") -> VerificationReport:
     """Run every check and assemble the report (PASS exit means both bounds
     verified at the requested scale)."""
     if scale not in SCALES:
@@ -312,28 +310,16 @@ def verify_paper(seed: int = 0, scale: str = "small", jobs: int = 1) -> Verifica
     add(_record("a6_degrees", True, _a6_degree_check, {"tournament": "A6"}))
     add(_record("a6_path_property", True, _a6_path_property_check, {"tournament": "A6"}))
 
-    # homomorphism nonexistence checks (the expensive block)
-    tasks = [("H4", "T5", SOLVER_BUDGET_S)]
-    tasks += [("H49", f"T{i}", SOLVER_BUDGET_S) for i in range(1, 13) if i != 5]
-    # derived-fact reports, not gating
-    info_tasks = [("H49", "T5", SOLVER_BUDGET_S)]
-    info_tasks += [("H4", f"T{i}", SOLVER_BUDGET_S) for i in range(1, 13) if i != 5]
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_hom_fixture_task, tasks + info_tasks))
-    else:
-        results = [_hom_fixture_task(t) for t in tasks + info_tasks]
-    by_key = {(r["fixture"], r["target"]): r for r in results}
-
-    rec = by_key[("H4", "T5")]
+    # homomorphism nonexistence checks
+    h4, h49 = fixture_h4().graph, fixture_h49().graph
+    rec = _hom_search("H4", h4, "T5")
     verdict, details = _hom_record_to_check(rec, expect_none=True)
     add(CheckRecord("lower_bound_h4_t5", True, verdict, {"fixture": "H4", "target": "T5"},
                     details, rec["elapsed_s"]))
     for i in range(1, 13):
         if i == 5:
             continue
-        rec = by_key[("H49", f"T{i}")]
+        rec = _hom_search("H49", h49, f"T{i}")
         verdict, details = _hom_record_to_check(rec, expect_none=True)
         add(CheckRecord(f"lower_bound_h49_t{i}", True, verdict,
                         {"fixture": "H49", "target": f"T{i}"}, details, rec["elapsed_s"]))
@@ -355,14 +341,15 @@ def verify_paper(seed: int = 0, scale: str = "small", jobs: int = 1) -> Verifica
         0.0,
     ))
 
-    rec = by_key[("H49", "T5")]
+    # derived-fact reports, not gating
+    rec = _hom_search("H49", h49, "T5")
     add(CheckRecord("derived_hom_h49_t5", False, "INFO",
                     {"fixture": "H49", "target": "T5"}, rec, rec["elapsed_s"]))
     found_targets = []
     for i in range(1, 13):
         if i == 5:
             continue
-        rec = by_key[("H4", f"T{i}")]
+        rec = _hom_search("H4", h4, f"T{i}")
         add(CheckRecord(f"derived_hom_h4_t{i}", False, "INFO",
                         {"fixture": "H4", "target": f"T{i}"}, rec, rec["elapsed_s"]))
         if rec["verdict"] == "FOUND":

@@ -7,6 +7,7 @@ import orihex.cli as cli
 import orihex.verify as verify
 from orihex.digraph import parse_digraph
 from orihex.hexgrid import build_hex_grid
+from orihex.homomorphism import SearchBudgetExceeded
 
 GOLDEN = Path(__file__).parent / "golden" / "h4_t5.dat"
 
@@ -50,6 +51,21 @@ def test_hom_check_json_and_brute(capsys):
     assert payload["verdict"] == "NONE"
     assert payload["witness"] is None
     assert payload["nodes_expanded"] > 0
+
+
+@pytest.mark.parametrize(
+    "exc", [SearchBudgetExceeded("time budget exceeded"), RecursionError("too deep"), MemoryError()]
+)
+def test_undecided_search_exits_three(monkeypatch, capsys, exc):
+    def undecided(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "homomorphism_exists", undecided)
+    code, out, err = run(capsys, "hom", "check", "-g", "H4", "-t", "T5")
+    assert code == 3
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1
+    assert err.startswith(f"undecided: {type(exc).__name__}")
 
 
 def test_hom_check_brute_small(tmp_path, capsys):

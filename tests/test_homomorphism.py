@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from orihex.digraph import OrientedGraph, relabel_oriented
-from orihex.hexgrid import fixture_h4
+from orihex.digraph import OrientedGraph, random_orientation, relabel_oriented
+from orihex.hexgrid import build_hex_grid, fixture_h4, fixture_h49
 from orihex.homomorphism import (
     SearchBudgetExceeded,
     brute_force_hom,
@@ -16,6 +16,7 @@ from orihex.homomorphism import (
 from orihex.tournaments import (
     TOURNAMENT_BITS,
     Tournament,
+    fixture_a6,
     named_tournament,
     parse_tournament,
 )
@@ -160,12 +161,63 @@ def test_chi_o_sentinel():
 
 
 def test_time_budget_enforced():
-    from orihex.hexgrid import fixture_h49
-
+    # an instance the static-order search does not settle within seconds
+    g = random_orientation(build_hex_grid(10, 10).graph, 1)
     with pytest.raises(SearchBudgetExceeded):
-        homomorphism_exists(
-            fixture_h49().graph, named_tournament("T11"), time_budget_s=0.01
-        )
+        homomorphism_exists(g, named_tournament("T5"), time_budget_s=0.05)
+
+
+#: colors tried by each of the 24 fixture searches; deterministic
+FIXTURE_NODES = {
+    ("H4", "T1"): 0, ("H4", "T2"): 18, ("H4", "T3"): 20, ("H4", "T4"): 3,
+    ("H4", "T5"): 11, ("H4", "T6"): 19, ("H4", "T7"): 10, ("H4", "T8"): 20,
+    ("H4", "T9"): 18, ("H4", "T10"): 18, ("H4", "T11"): 18, ("H4", "T12"): 18,
+    ("H49", "T1"): 0, ("H49", "T2"): 3, ("H49", "T3"): 4, ("H49", "T4"): 3,
+    ("H49", "T5"): 135, ("H49", "T6"): 5, ("H49", "T7"): 5, ("H49", "T8"): 4,
+    ("H49", "T9"): 3, ("H49", "T10"): 17, ("H49", "T11"): 700, ("H49", "T12"): 135,
+}
+
+#: the lexicographically first witness of each satisfiable fixture search,
+#: one digit per vertex; the forward-checking search found the same maps
+FIXTURE_WITNESSES = {
+    ("H4", "T2"): "212431010401040102",
+    ("H4", "T3"): "314231010401020104",
+    ("H4", "T6"): "101320320432041401",
+    ("H4", "T8"): "203120120314313403",
+    ("H4", "T9"): "010231230223020204",
+    ("H4", "T10"): "010431240224020202",
+    ("H4", "T11"): "010241240221320203",
+    ("H4", "T12"): "013201201321423403",
+    ("H49", "T5"): "0412314231230423120412303104041201204130410310432043140412012304"
+                   "12423104320423124123042104123023401204031201304014310320401423",
+}
+
+
+def test_fixture_searches_pinned():
+    fixtures = {"H4": fixture_h4().graph, "H49": fixture_h49().graph}
+    for (name, tname), nodes in FIXTURE_NODES.items():
+        result = homomorphism_exists(fixtures[name], named_tournament(tname))
+        assert result.nodes_expanded == nodes, (name, tname)
+        expected = FIXTURE_WITNESSES.get((name, tname))
+        if expected is None:
+            assert not result.found, (name, tname)
+        else:
+            assert result.witness == tuple(int(c) for c in expected), (name, tname)
+
+
+def test_deep_grid_maps_into_a6():
+    # 1,920 vertices in one component: deeper than the interpreter's stack
+    g = random_orientation(build_hex_grid(30, 30).graph, 1)
+    a6 = fixture_a6()
+    result = homomorphism_exists(g, a6, time_budget_s=60.0)
+    assert result.found
+    assert validate_homomorphism(g, a6, result.witness)
+
+
+def test_target_order_limit():
+    big = Tournament.from_arcs(17, [(u, v) for u in range(17) for v in range(u + 1, 17)])
+    with pytest.raises(ValueError):
+        homomorphism_exists(OrientedGraph(2, ((0, 1),)), big)
 
 
 def test_components_solved_independently():
@@ -176,3 +228,16 @@ def test_components_solved_independently():
     assert result.found
     assert validate_homomorphism(g, THREE_CYCLE_T, result.witness)
     assert not homomorphism_exists(g, TRANSITIVE_3).found
+
+
+def test_unsatisfiable_component_ends_search():
+    # an out-star, searched first since its center has the highest degree,
+    # then a directed 4-cycle, which the directed 3-cycle does not admit
+    # although its full domains are arc consistent; once the cycle's first
+    # vertex runs out of colors the search must stop, not retry the star
+    star = tuple((0, i) for i in range(1, 6))
+    g = OrientedGraph(10, star + ((6, 7), (7, 8), (8, 9), (9, 6)))
+    result = homomorphism_exists(g, THREE_CYCLE_T)
+    assert not result.found
+    assert result.nodes_expanded == 1 + 5 + 3
+    assert not brute_force_hom(g, THREE_CYCLE_T).found
