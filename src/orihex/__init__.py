@@ -22,7 +22,6 @@ from .digraph import (
 from .hexcolor import (
     Prop1Check,
     check_property1,
-    color_first_row,
     color_hex,
     upper_bound_certificate,
 )
@@ -30,7 +29,6 @@ from .hexgrid import (
     AxialFixture,
     HexGrid,
     build_hex_grid,
-    build_square_grid,
     fixture_h4,
     fixture_h49,
     place_fixture,
@@ -69,13 +67,11 @@ __all__ = [
     "serialize_digraph",
     "Prop1Check",
     "check_property1",
-    "color_first_row",
     "color_hex",
     "upper_bound_certificate",
     "AxialFixture",
     "HexGrid",
     "build_hex_grid",
-    "build_square_grid",
     "fixture_h4",
     "fixture_h49",
     "place_fixture",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 MAX_ENUMERATION_EDGES = 24
 
@@ -23,6 +23,14 @@ class GraphFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class ArcError(ValueError):
+    """Raised for an arc no orientation may hold: arcs[index], and what is wrong."""
+
+    def __init__(self, index: int, arc: tuple[int, int], problem: str):
+        super().__init__(f"arc {arc} {problem}")
+        self.index, self.problem = index, problem
 
 
 @dataclass(frozen=True)
@@ -67,16 +75,19 @@ class OrientedGraph:
 
     def __post_init__(self):
         seen = set()
-        for (u, v) in self.arcs:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+        for i, (u, v) in enumerate(self.arcs):
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"arc ({u},{v}) out of range 0..{self.n_vertices - 1}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate arc ({u},{v})")
-            if (v, u) in seen:
-                raise ValueError(f"2-cycle between {u} and {v}")
-            seen.add((u, v))
+                problem = f"has an endpoint out of range ({self.n_vertices} vertices)"
+            elif u == v:
+                problem = "is a self-loop"
+            elif (u, v) in seen:
+                problem = "is a duplicate arc"
+            elif (v, u) in seen:
+                problem = "closes a 2-cycle"
+            else:
+                seen.add((u, v))
+                continue
+            raise ArcError(i, (u, v), problem)
 
     @cached_property
     def arc_set(self) -> frozenset[tuple[int, int]]:
@@ -105,12 +116,6 @@ class OrientedGraph:
             nbrs[v].append((u, False))
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
-    def underlying(self) -> UndirectedGraph:
-        return UndirectedGraph(
-            self.n_vertices,
-            tuple((u, v) if u < v else (v, u) for (u, v) in self.arcs),
-        )
-
 
 def _parse_int(tok: str, what: str, line: int) -> int:
     try:
@@ -124,12 +129,13 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     bindings from optional ``coord u a b`` lines (keys 0-based).
 
     Format: a header line "N M", then M lines "u v" (arc u -> v, 1-based).
-    Lines starting with '#' and blank lines are ignored.
+    Lines starting with '#' and blank lines are ignored. Arcs are checked
+    by OrientedGraph; a bad one is reported with its line.
     """
     header: tuple[int, int] | None = None
     arcs: list[tuple[int, int]] = []
+    arc_lines: list[int] = []
     coords: dict[int, tuple[int, int]] = {}
-    arc_seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -161,24 +167,20 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
             raise GraphFormatError("arc line must be 'u v'", lineno)
         u = _parse_int(toks[0], "arc tail", lineno)
         v = _parse_int(toks[1], "arc head", lineno)
-        for x in (u, v):
-            if not (1 <= x <= n):
-                raise GraphFormatError(f"vertex {x} out of range 1..{n}", lineno)
-        if u == v:
-            raise GraphFormatError(f"self-loop at vertex {u}", lineno)
-        arc = (u - 1, v - 1)
-        if arc in arc_seen:
-            raise GraphFormatError(f"duplicate arc {u} -> {v}", lineno)
-        if (arc[1], arc[0]) in arc_seen:
-            raise GraphFormatError(f"2-cycle between {u} and {v}", lineno)
-        arc_seen.add(arc)
-        arcs.append(arc)
+        arcs.append((u - 1, v - 1))
+        arc_lines.append(lineno)
     if header is None:
         raise GraphFormatError("empty file: missing 'N M' header", 1)
     n, m = header
+    try:
+        graph = OrientedGraph(n, tuple(arcs))
+    except ArcError as exc:
+        u, v = arcs[exc.index]
+        message = f"arc {u + 1} -> {v + 1} {exc.problem}"
+        raise GraphFormatError(message, arc_lines[exc.index]) from None
     if len(arcs) != m:
         raise GraphFormatError(f"header declares {m} arcs but file lists {len(arcs)}")
-    return OrientedGraph(n, tuple(arcs)), coords
+    return graph, coords
 
 
 def parse_digraph(text: str) -> OrientedGraph:
@@ -230,9 +232,3 @@ def random_orientation(g: UndirectedGraph, seed: int) -> OrientedGraph:
     rng = random.Random(seed)
     return orient(g, tuple(rng.getrandbits(1) for _ in g.edges))
 
-
-def relabel_oriented(g: OrientedGraph, perm: Sequence[int]) -> OrientedGraph:
-    """Rename vertex u to perm[u], preserving arc order."""
-    if sorted(perm) != list(range(g.n_vertices)):
-        raise ValueError("perm must be a permutation of the vertex set")
-    return OrientedGraph(g.n_vertices, tuple((perm[u], perm[v]) for (u, v) in g.arcs))

@@ -14,6 +14,10 @@ of a hexagonal grid row by row:
     anchor two columns over in the previous row;
   * a row's final vertex has no anchor above and is colored greedily.
 
+The steps depend only on the grid's shape: sweep_schedule(m, n) builds
+them once per shape, and the tests check for every m, n <= 30 that they
+constrain each grid edge exactly once.
+
 Greedy steps only need every target vertex to have in- and out-degree
 at least 1.
 """
@@ -21,10 +25,10 @@ at least 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 from .digraph import OrientedGraph
-from .hexgrid import HexGrid
+from .hexgrid import HexGrid, build_hex_grid
 from .tournaments import Tournament, fixture_a6
 
 #: direction pattern of a three-edge walk; bit r is 1 when edge r points
@@ -99,32 +103,41 @@ def a6_path_table() -> PathTable:
     return check.table
 
 
-def _require_degrees(target: Tournament) -> None:
-    if min(target.out_degrees) < 1 or min(target.in_degrees) < 1:
-        raise ValueError("target must have minimum in- and out-degree >= 1")
+@lru_cache(maxsize=16)
+def sweep_schedule(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The row sweep of H_{m,n} as steps over build_hex_grid(m, n)'s vertices.
 
+    Vertex 0 takes color 0 and has no step. A greedy step (v, anchor)
+    colors v against its colored neighbor anchor; a pair step
+    (v0, v1, v2, anchor) colors v1, v2 by the walk v0, v1, v2, anchor,
+    whose anchor lies above v2. The shape's invariants are checked here.
+    """
+    grid = build_hex_grid(m, n)
+    index, rows = grid.index, grid.rows
 
-def _greedy(target: Tournament, anchor_color: int, outgoing: bool) -> int:
-    """Lowest color adjacent to anchor_color in the required direction."""
-    nbrs = target.out_neighbors if outgoing else target.in_neighbors
-    return nbrs[anchor_color][0]
+    def above(i: int, j: int) -> int | None:
+        # (i-1, j) has an edge down to (i, j) exactly when i-1+j is even
+        return index.get((i - 1, j)) if (i - 1 + j) % 2 == 0 else None
 
-
-def color_first_row(path: OrientedGraph, target: Tournament) -> tuple[int, ...]:
-    """Color an oriented path (vertices 0..n-1 joined consecutively),
-    starting at color 0 and taking the lowest compatible color each step."""
-    _require_degrees(target)
-    if path.n_vertices == 0:
-        return ()
-    expected = {frozenset((i, i + 1)) for i in range(path.n_vertices - 1)}
-    actual = {frozenset(arc) for arc in path.arcs}
-    if actual != expected:
-        raise ValueError("input must be an orientation of the path 0-1-...-(n-1)")
-    colors = [0]
-    for i in range(path.n_vertices - 1):
-        outgoing = (i, i + 1) in path.arc_set
-        colors.append(_greedy(target, colors[i], outgoing))
-    return tuple(colors)
+    steps: list[tuple[int, ...]] = [
+        (index[(1, j)], index[(1, j - 1)]) for j in rows[1][1:]
+    ]
+    for i in range(2, m + 2):
+        js = rows[i]
+        anchor = above(i, js[0])
+        if anchor is None:
+            raise RuntimeError("row start has no anchor above")
+        steps.append((index[(i, js[0])], anchor))
+        idx = 0
+        while idx + 2 < len(js) and (anchor := above(i, js[idx + 2])) is not None:
+            v0, v1, v2 = (index[(i, j)] for j in js[idx:idx + 3])
+            steps.append((v0, v1, v2, anchor))
+            idx += 2
+        for j in js[idx + 1:]:
+            if above(i, j) is not None:
+                raise RuntimeError("tail vertex unexpectedly anchored above")
+            steps.append((index[(i, j)], index[(i, j - 1)]))
+    return tuple(steps)
 
 
 def color_hex(
@@ -135,7 +148,8 @@ def color_hex(
 ) -> tuple[int, ...]:
     """Color an orientation of the grid by a homomorphism into the target.
 
-    The orientation must assign one direction to each grid edge. The table
+    The grid must be numbered as build_hex_grid numbers it, and the
+    orientation must assign one direction to each grid edge. The table
     must come from check_property1(target, include_equal_endpoints=True);
     by default the packaged order-6 target and its table are used. The
     result is deterministic and always a valid homomorphism.
@@ -149,63 +163,32 @@ def color_hex(
         if not check.holds:
             raise ValueError("target lacks the three-step path property")
         table = check.table
-    _require_degrees(target)
+    if min(target.out_degrees) < 1 or min(target.in_degrees) < 1:
+        raise ValueError("target must have minimum in- and out-degree >= 1")
     if orientation.n_vertices != grid.graph.n_vertices:
         raise ValueError("orientation and grid disagree on vertex count")
-    undirected = {frozenset(arc) for arc in orientation.arcs}
-    if undirected != {frozenset(e) for e in grid.graph.edges}:
+    if {(u, v) if u < v else (v, u) for (u, v) in orientation.arcs} != set(grid.graph.edges):
         raise ValueError("orientation must direct exactly the grid's edges")
 
-    arc_set = orientation.arc_set
-    index = grid.index
+    arcs = orientation.arc_set
+    # a greedy step takes the lowest color adjacent in the required direction
+    lowest_out = [nbrs[0] for nbrs in target.out_neighbors]
+    lowest_in = [nbrs[0] for nbrs in target.in_neighbors]
+    colors = [0] * orientation.n_vertices
+    for step in sweep_schedule(grid.m, grid.n):
+        if len(step) == 2:
+            v, a = step
+            colors[v] = lowest_out[colors[a]] if (a, v) in arcs else lowest_in[colors[a]]
+            continue
+        v0, v1, v2, a = step
+        # True/False hash and compare equal to the table's 1/0 pattern bits
+        pat = ((v0, v1) in arcs, (v1, v2) in arcs, (v2, a) in arcs)
+        entry = table.get((colors[v0], colors[a], pat))
+        if entry is None:
+            raise RuntimeError("path table is missing a required entry")
+        colors[v1], colors[v2] = entry
 
-    def forward(a: tuple[int, int], b: tuple[int, int]) -> int:
-        """1 when the edge between grid points a, b is oriented a -> b."""
-        return 1 if (index[a], index[b]) in arc_set else 0
-
-    colors: dict[tuple[int, int], int] = {}
-
-    def greedy_against(point: tuple[int, int], anchor: tuple[int, int]) -> None:
-        if forward(anchor, point):
-            colors[point] = _greedy(target, colors[anchor], outgoing=True)
-        else:
-            colors[point] = _greedy(target, colors[anchor], outgoing=False)
-
-    rows = grid.rows
-    first = rows[1]
-    colors[(1, first[0])] = 0
-    for prev_j, j in zip(first, first[1:]):
-        greedy_against((1, j), (1, prev_j))
-
-    for i in range(2, grid.m + 2):
-        js = rows[i]
-        start = (i, js[0])
-        above = (i - 1, js[0])
-        assert above in index and (i - 1 + js[0]) % 2 == 0
-        greedy_against(start, above)
-        idx = 0
-        while idx + 2 < len(js):
-            j0, j1, j2 = js[idx], js[idx + 1], js[idx + 2]
-            anchor = (i - 1, j2)
-            if anchor not in index or (i - 1 + j2) % 2 != 0:
-                break
-            pat = (
-                forward((i, j0), (i, j1)),
-                forward((i, j1), (i, j2)),
-                forward((i, j2), anchor),
-            )
-            entry = table.get((colors[(i, j0)], colors[anchor], pat))
-            if entry is None:
-                raise RuntimeError("path table is missing a required entry")
-            colors[(i, j1)], colors[(i, j2)] = entry
-            idx += 2
-        for j in js[idx + 1:]:
-            tail = (i, j)
-            if (i - 1, j) in index and (i - 1 + j) % 2 == 0:
-                raise RuntimeError("tail vertex unexpectedly anchored above")
-            greedy_against(tail, (i, j - 1))
-
-    result = tuple(colors[c] for c in grid.coords)
+    result = tuple(colors)
     for (u, v) in orientation.arcs:
         if not target.has_arc(result[u], result[v]):
             raise RuntimeError("internal error: coloring violates an arc")

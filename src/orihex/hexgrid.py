@@ -1,5 +1,5 @@
-"""Hexagonal grids, square grids, and the two packaged counterexample
-fixtures with their lattice-membership validator.
+"""Hexagonal grids and the two packaged counterexample fixtures with
+their lattice-membership validator.
 
 The hexagonal grid with m rows of n hexagons lives inside the square grid
 with m+1 rows and 2n+m columns: row i keeps the columns j with
@@ -89,22 +89,6 @@ def build_hex_grid(m: int, n: int) -> HexGrid:
     return HexGrid(m, n, UndirectedGraph(len(coords), tuple(edges)), tuple(coords))
 
 
-def build_square_grid(m: int, n: int) -> UndirectedGraph:
-    """Grid graph with m rows and n columns (Cartesian product of two paths)."""
-    if m < 1 or n < 1:
-        raise ValueError("grid dimensions must be positive")
-    def idx(i: int, j: int) -> int:
-        return (i - 1) * n + (j - 1)
-    edges = []
-    for i in range(1, m + 1):
-        for j in range(1, n + 1):
-            if j < n:
-                edges.append((idx(i, j), idx(i, j + 1)))
-            if i < m:
-                edges.append((idx(i, j), idx(i + 1, j)))
-    return UndirectedGraph(m * n, tuple(edges))
-
-
 @dataclass(frozen=True)
 class AxialFixture:
     """Oriented graph together with axial lattice coordinates per vertex."""
@@ -168,16 +152,6 @@ def load_fixture(text: str) -> AxialFixture:
     if missing:
         raise ValueError(f"missing coord lines for vertices {missing}")
     return AxialFixture(graph, tuple(coords[v] for v in range(graph.n_vertices)))
-
-
-def serialize_fixture(fixture: AxialFixture) -> str:
-    g = fixture.graph
-    lines = [f"{g.n_vertices} {len(g.arcs)}"]
-    lines.extend(f"{u + 1} {v + 1}" for (u, v) in g.arcs)
-    lines.extend(
-        f"coord {v + 1} {a} {b}" for v, (a, b) in enumerate(fixture.coords)
-    )
-    return "\n".join(lines) + "\n"
 
 
 def fixture_file_bytes(name: str) -> bytes:

@@ -120,6 +120,17 @@ def test_color_code_length_error(capsys):
     assert "bits" in err
 
 
+def test_color_graph_of_other_grid_exits_two(capsys, tmp_path):
+    code, out, _ = run(capsys, "hex", "gen", "-m", "2", "-n", "3", "--seed", "0")
+    assert code == 0
+    f = tmp_path / "h23.digraph"
+    f.write_text(out)
+    code, out, err = run(capsys, "color", "-m", "2", "-n", "2", "-g", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_chi_o_of_fixture(capsys):
     code, out, _ = run(capsys, "chi-o", "-g", "H4")
     assert code == 0

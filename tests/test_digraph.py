@@ -79,6 +79,8 @@ def test_constructor_rejects_two_cycles_and_loops():
         OrientedGraph(2, ((1, 1),))
     with pytest.raises(ValueError):
         OrientedGraph(2, ((0, 1), (0, 1)))
+    with pytest.raises(ValueError):
+        OrientedGraph(2, ((0, 1), (1, 2)))
 
 
 def test_roundtrip_canonical():

@@ -9,8 +9,8 @@ from orihex.hexcolor import (
     PATTERNS,
     a6_path_table,
     check_property1,
-    color_first_row,
     color_hex,
+    sweep_schedule,
     upper_bound_certificate,
 )
 from orihex.hexgrid import (
@@ -64,31 +64,6 @@ def test_order_guard():
         check_property1(Tournament.from_arcs(1, []))
 
 
-def test_color_first_row_forward_path():
-    path = OrientedGraph(3, ((0, 1), (1, 2)))
-    assert color_first_row(path, A6) == (0, 1, 2)
-
-
-def test_color_first_row_backward_edge():
-    path = OrientedGraph(2, ((1, 0),))
-    # dominators of 0 in the target are 4 and 5; lowest wins
-    assert color_first_row(path, A6) == (0, 4)
-
-
-def test_color_first_row_single_vertex():
-    assert color_first_row(OrientedGraph(1, ()), A6) == (0,)
-
-
-def test_color_first_row_requires_path():
-    with pytest.raises(ValueError):
-        color_first_row(OrientedGraph(3, ((0, 2),)), A6)
-
-
-def test_color_first_row_degree_precondition():
-    with pytest.raises(ValueError):
-        color_first_row(OrientedGraph(2, ((0, 1),)), parse_tournament("111", 3))
-
-
 def test_single_hexagon_exhaustive():
     grid = build_hex_grid(1, 1)
     table = a6_path_table()
@@ -119,21 +94,55 @@ def test_equal_endpoint_lookups_occur():
     """The row sweep really does hit equal anchor colors, so the table must
     cover u == v."""
     grid = build_hex_grid(5, 5)
+    pairs = [step for step in sweep_schedule(5, 5) if len(step) == 4]
     hits = 0
     for seed in range(30):
-        oriented = random_orientation(grid.graph, seed)
-        colors = color_hex(grid, oriented)
-        for i in range(2, grid.m + 2):
-            js = grid.rows[i]
-            for idx in range(0, len(js) - 2, 2):
-                j0, j2 = js[idx], js[idx + 2]
-                anchor = (i - 1, j2)
-                if anchor in grid.index and (i - 1 + j2) % 2 == 0:
-                    u = colors[grid.index[(i, j0)]]
-                    v = colors[grid.index[anchor]]
-                    if u == v:
-                        hits += 1
+        colors = color_hex(grid, random_orientation(grid.graph, seed))
+        hits += sum(colors[v0] == colors[anchor] for (v0, _, _, anchor) in pairs)
     assert hits > 0
+
+
+def test_sweep_schedule_constrains_each_edge_once():
+    """For every shape up to 30 x 30: each step reads only colored vertices,
+    every vertex is colored once, every grid edge is constrained by exactly
+    one step, and each pair step's anchor is the vertex above v2, joined to
+    it by a vertical edge (even parity)."""
+    build = sweep_schedule.__wrapped__  # uncached: 900 schedules stay out of the cache
+    for m in range(1, 31):
+        for n in range(1, 31):
+            grid = build_hex_grid(m, n)
+            colored = {0}
+            constrained = []
+            for step in build(m, n):
+                if len(step) == 2:
+                    v, anchor = step
+                    reads, writes, path = (anchor,), (v,), (anchor, v)
+                else:
+                    v0, v1, v2, anchor = step
+                    reads, writes, path = (v0, anchor), (v1, v2), step
+                    (i, j) = grid.coords[v2]
+                    assert grid.coords[anchor] == (i - 1, j) and (i - 1 + j) % 2 == 0
+                assert colored.issuperset(reads) and colored.isdisjoint(writes)
+                colored.update(writes)
+                constrained += [(min(e), max(e)) for e in zip(path, path[1:])]
+            assert len(colored) == grid.graph.n_vertices
+            assert len(constrained) == len(set(constrained))
+            assert set(constrained) == set(grid.graph.edges)
+
+
+def test_color_hex_golden():
+    """Pinned colors: any change in the choices the sweep makes shows here."""
+    grid = build_hex_grid(5, 5)
+    assert color_hex(grid, random_orientation(grid.graph, 1)) == (
+        0, 4, 0, 1, 0, 4, 2, 3, 0, 1, 2, 1, 3, 2, 3, 4, 3, 1, 5, 4, 2, 0, 1, 0,
+        1, 2, 5, 1, 3, 0, 1, 3, 1, 0, 4, 0, 4, 1, 2, 1, 0, 2, 3, 2, 0, 1, 2, 2,
+        3, 5, 1, 4, 0, 2, 3, 5, 0, 1, 2, 1, 0, 2, 0, 1, 2, 5, 0, 1, 5, 0,
+    )
+    grid = build_hex_grid(3, 4)
+    assert color_hex(grid, random_orientation(grid.graph, 7)) == (
+        0, 4, 2, 0, 4, 2, 3, 0, 1, 1, 2, 3, 0, 5, 1, 0, 4, 0, 4, 0, 1, 4, 2, 3,
+        1, 2, 3, 1, 0, 2, 0, 4, 0, 3, 0, 5, 1, 3,
+    )
 
 
 def test_color_hex_rejects_mismatched_orientation():

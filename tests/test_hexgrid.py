@@ -7,14 +7,12 @@ from orihex.digraph import OrientedGraph
 from orihex.hexgrid import (
     AxialFixture,
     build_hex_grid,
-    build_square_grid,
     fixture_file_bytes,
     fixture_h4,
     fixture_h49,
     load_fixture,
     orientation_extending,
     place_fixture,
-    serialize_fixture,
     validate_axial_fixture,
 )
 
@@ -58,23 +56,11 @@ def test_single_row_closed_forms(n):
     assert len(grid.graph.edges) == 5 * n + 1
 
 
-def test_square_grid_counts():
-    assert build_square_grid(1, 1).n_vertices == 1
-    assert build_square_grid(1, 1).edges == ()
-    c4 = build_square_grid(2, 2)
-    assert c4.n_vertices == 4
-    assert len(c4.edges) == 4
-    g = build_square_grid(4, 11)
-    assert g.n_vertices == 44
-    assert len(g.edges) == 4 * 10 + 3 * 11
-
-
 def test_bad_dimensions():
-    for builder in (build_hex_grid, build_square_grid):
-        with pytest.raises(ValueError):
-            builder(0, 3)
-        with pytest.raises(ValueError):
-            builder(3, 0)
+    with pytest.raises(ValueError):
+        build_hex_grid(0, 3)
+    with pytest.raises(ValueError):
+        build_hex_grid(3, 0)
 
 
 def test_bipartite_and_degree_bound_small_range():
@@ -104,17 +90,14 @@ def test_euler_face_count():
 
 
 def test_hex_grid_embeds_in_square_grid():
+    """Every edge is a unit horizontal or vertical step inside the
+    (m+1) x (2n+m) box of the square grid."""
     for (m, n) in [(1, 1), (2, 3), (3, 4)]:
         grid = build_hex_grid(m, n)
-        rows, cols = m + 1, 2 * n + m
-        square = build_square_grid(rows, cols)
-        square_edges = set()
-        for (a, b) in square.edges:
-            ca = (a // cols + 1, a % cols + 1)
-            cb = (b // cols + 1, b % cols + 1)
-            square_edges.add(frozenset((ca, cb)))
+        assert all(1 <= i <= m + 1 and 1 <= j <= 2 * n + m for (i, j) in grid.coords)
         for (a, b) in grid.graph.edges:
-            assert frozenset((grid.coords[a], grid.coords[b])) in square_edges
+            (i1, j1), (i2, j2) = grid.coords[a], grid.coords[b]
+            assert abs(i1 - i2) + abs(j1 - j2) == 1
 
 
 def test_fixture_digests_pinned():
@@ -210,11 +193,6 @@ def test_lattice_direction_is_irrelevant():
 def test_load_fixture_requires_coords():
     with pytest.raises(ValueError):
         load_fixture("2 1\n1 2\ncoord 1 0 1\n")
-
-
-def test_fixture_serialization_roundtrip():
-    f = fixture_h4()
-    assert load_fixture(serialize_fixture(f)) == f
 
 
 def test_place_h4_in_host_grid():
