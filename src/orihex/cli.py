@@ -95,7 +95,7 @@ def _cmd_hex_gen(args) -> int:
 
 
 def _cmd_tourn_list(args) -> int:
-    for t in enumerate_tournaments(args.k, limit=max(args.k, 5)):
+    for t in enumerate_tournaments(args.k):
         print(f"{t.order}:{t.bits}")
     return 0
 

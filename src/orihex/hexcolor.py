@@ -172,8 +172,8 @@ def color_hex(
 
     arcs = orientation.arc_set
     # a greedy step takes the lowest color adjacent in the required direction
-    lowest_out = [nbrs[0] for nbrs in target.out_neighbors]
-    lowest_in = [nbrs[0] for nbrs in target.in_neighbors]
+    lowest_out = [(m & -m).bit_length() - 1 for m in target.out_masks]
+    lowest_in = [(m & -m).bit_length() - 1 for m in target.in_masks]
     colors = [0] * orientation.n_vertices
     for step in sweep_schedule(grid.m, grid.n):
         if len(step) == 2:

@@ -86,7 +86,10 @@ def build_hex_grid(m: int, n: int) -> HexGrid:
             edges.append((index[(i, j)], index[(i, j + 1)]))
         if (i + j) % 2 == 0 and (i + 1, j) in index:
             edges.append((index[(i, j)], index[(i + 1, j)]))
-    return HexGrid(m, n, UndirectedGraph(len(coords), tuple(edges)), tuple(coords))
+    grid = HexGrid(m, n, UndirectedGraph(len(coords), tuple(edges)), tuple(coords))
+    # seed the cached property: it is not a field, so equality and hashing ignore it
+    object.__setattr__(grid, "index", index)
+    return grid
 
 
 @dataclass(frozen=True)

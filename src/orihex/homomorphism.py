@@ -12,8 +12,6 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .digraph import OrientedGraph
 from .tournaments import Tournament, enumerate_tournaments
 
@@ -208,6 +206,7 @@ def brute_force_hom(g: OrientedGraph, t: Tournament, guard: int = BRUTE_FORCE_GU
     Independent oracle for homomorphism_exists; refuses instances with
     more than `guard` candidate maps.
     """
+    import numpy as np  # only this oracle needs it; keeps the CLI's import light
     n, k = g.n_vertices, t.order
     total = k**n
     if total > guard:
@@ -240,14 +239,15 @@ def brute_force_hom(g: OrientedGraph, t: Tournament, guard: int = BRUTE_FORCE_GU
     return HomResult(False, None, checked, n)
 
 
-def colorable_with_order(g: OrientedGraph, k: int, limit: int = 5) -> bool:
+def colorable_with_order(g: OrientedGraph, k: int) -> bool:
     """True iff g maps homomorphically into some k-tournament."""
-    return any(homomorphism_exists(g, t).found for t in enumerate_tournaments(k, limit))
+    return any(homomorphism_exists(g, t).found for t in enumerate_tournaments(k))
 
 
 def chi_o(g: OrientedGraph, k_max: int = 5) -> int | None:
-    """Least k <= k_max such that g has an oriented k-coloring, else None."""
+    """Least k <= k_max such that g has an oriented k-coloring, else None;
+    ValueError if the search passes the census cap, MAX_CENSUS_ORDER."""
     for k in range(1, k_max + 1):
-        if colorable_with_order(g, k, limit=max(k_max, 5)):
+        if colorable_with_order(g, k):
             return k
     return None

@@ -1,5 +1,6 @@
 """Tournaments: bitstring codec, isomorphism via canonical relabeling,
-exhaustive census of small orders, and the double-score-set invariant.
+census of the isomorphism classes of orders 0..MAX_CENSUS_ORDER, and the
+double-score-set invariant.
 
 A tournament of order k is stored as per-vertex dominance bitmasks. The
 bitstring form lists the upper triangle of the adjacency matrix in row
@@ -15,7 +16,7 @@ from functools import cache, cached_property
 from typing import Sequence
 
 MAX_CANONICAL_ORDER = 8
-MAX_CENSUS_ORDER = 5
+MAX_CENSUS_ORDER = 6
 
 #: Representatives of the 12 isomorphism classes of 5-tournaments.
 TOURNAMENT_BITS = {
@@ -115,20 +116,6 @@ class Tournament:
     def in_degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.in_masks)
 
-    @cached_property
-    def out_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(v for v in range(self.order) if self.has_arc(u, v))
-            for u in range(self.order)
-        )
-
-    @cached_property
-    def in_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(
-            tuple(v for v in range(self.order) if self.has_arc(v, u))
-            for u in range(self.order)
-        )
-
 
 def _support_table(masks: Sequence[int]) -> tuple[int, ...]:
     # sets containing vertex i sit at D = 2^i + D' with D' < 2^i
@@ -161,13 +148,6 @@ def arc_codes(t: Tournament) -> list[int]:
     return sorted(u + 5 * v for (u, v) in t.arcs)
 
 
-def relabel_tournament(t: Tournament, perm: Sequence[int]) -> Tournament:
-    """Rename vertex u to perm[u]."""
-    if sorted(perm) != list(range(t.order)):
-        raise ValueError("perm must be a permutation of the vertex set")
-    return Tournament.from_arcs(t.order, [(perm[u], perm[v]) for (u, v) in t.arcs])
-
-
 @cache
 def _perm_tables(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each relabeling, the source pair whose arc decides each bit:
@@ -183,6 +163,15 @@ def _perm_tables(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(tables)
 
 
+def _relabelings(t: Tournament) -> set[str]:
+    """The bitstrings of every vertex relabeling of t: its isomorphism class."""
+    masks = t.out_masks
+    return {
+        "".join("1" if masks[i] & (1 << j) else "0" for (i, j) in table)
+        for table in _perm_tables(t.order)
+    }
+
+
 def canonical_form(t: Tournament) -> str:
     """Lexicographically least bitstring over all vertex relabelings.
 
@@ -190,35 +179,38 @@ def canonical_form(t: Tournament) -> str:
     """
     if t.order > MAX_CANONICAL_ORDER:
         raise ValueError(f"order {t.order} exceeds canonical-scan limit {MAX_CANONICAL_ORDER}")
-    masks = t.out_masks
-    best = None
-    for table in _perm_tables(t.order):
-        bits = "".join("1" if masks[i] & (1 << j) else "0" for (i, j) in table)
-        if best is None or bits < best:
-            best = bits
-    return best if best is not None else ""
+    return min(_relabelings(t))
 
 
 @cache
-def enumerate_tournaments(k: int, limit: int = MAX_CENSUS_ORDER) -> tuple[Tournament, ...]:
-    """One representative per isomorphism class of k-tournaments, found by
-    scanning all 2^(k(k-1)/2) bitstrings; sorted by canonical bitstring."""
-    if k > limit:
-        raise ValueError(f"order {k} exceeds census limit {limit}")
+def enumerate_tournaments(k: int) -> tuple[Tournament, ...]:
+    """One representative per isomorphism class of k-tournaments, each in
+    canonical form, sorted by bitstring; orders 0..MAX_CENSUS_ORDER.
+
+    The 2^(k(k-1)/2) bitstrings are walked in increasing order, and only
+    the first of each class is relabeled: it is the least of its class,
+    and its k! relabelings are marked seen. Orders above the cap raise
+    ValueError; order 6 (56 classes) takes about 0.2 s.
+    """
+    if not 0 <= k <= MAX_CENSUS_ORDER:
+        raise ValueError(f"order {k} is outside the census range 0..{MAX_CENSUS_ORDER}")
     nbits = k * (k - 1) // 2
-    classes: dict[str, None] = {}
+    seen: set[str] = set()
+    classes = []
     for value in range(1 << nbits):
         bits = format(value, f"0{nbits}b") if nbits else ""
-        t = parse_tournament(bits, k)
-        canon = canonical_form(t)
-        classes.setdefault(canon, None)
-    return tuple(parse_tournament(bits, k) for bits in sorted(classes))
+        if bits not in seen:
+            seen |= _relabelings(parse_tournament(bits, k))
+            classes.append(bits)
+    return tuple(parse_tournament(bits, k) for bits in classes)
 
 
 def double_score_set(t: Tournament) -> tuple[int, ...]:
     """Per vertex, the sum of out-degrees of its out-neighbors; sorted multiset."""
     deg = t.out_degrees
-    return tuple(sorted(sum(deg[v] for v in t.out_neighbors[u]) for u in range(t.order)))
+    return tuple(sorted(
+        sum(deg[v] for v in range(t.order) if mask >> v & 1) for mask in t.out_masks
+    ))
 
 
 def fixture_a6() -> Tournament:

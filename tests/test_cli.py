@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,17 @@ def test_tourn_list_twelve_lines(capsys):
     lines = out.strip().splitlines()
     assert len(lines) == 12
     assert all(line.startswith("5:") and len(line) == 12 for line in lines)
+
+
+def test_tourn_list_census_cap(capsys):
+    code, out, _ = run(capsys, "tourn", "list", "-k", "6")
+    assert code == 0
+    assert len(out.strip().splitlines()) == 56
+    for k in ("7", "8"):
+        code, out, err = run(capsys, "tourn", "list", "-k", k)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 def test_tourn_ds_and_canon(capsys):
@@ -132,9 +146,11 @@ def test_color_graph_of_other_grid_exits_two(capsys, tmp_path):
 
 
 def test_chi_o_of_fixture(capsys):
-    code, out, _ = run(capsys, "chi-o", "-g", "H4")
-    assert code == 0
-    assert out.strip() == "5"
+    # --k-max 7 lies above the census cap, which the search never reaches
+    for extra in ((), ("--k-max", "7")):
+        code, out, _ = run(capsys, "chi-o", "-g", "H4", *extra)
+        assert code == 0
+        assert out.strip() == "5"
 
 
 def test_chi_o_json_sentinel(capsys, tmp_path):
@@ -203,9 +219,18 @@ def test_verify_paper_out_writes_json(monkeypatch, tmp_path, capsys):
     assert json.loads(out_path.read_text()) == {"overall": "PASS"}
 
 
+def test_cli_import_leaves_numpy_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, orihex.cli; print('numpy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_installed_binary_exit_codes(tmp_path):
     import shutil
-    import subprocess
 
     exe = shutil.which("orihex")
     if exe is None:

@@ -6,6 +6,7 @@ import pytest
 from orihex.digraph import OrientedGraph
 from orihex.hexgrid import (
     AxialFixture,
+    HexGrid,
     build_hex_grid,
     fixture_file_bytes,
     fixture_h4,
@@ -47,6 +48,14 @@ def test_three_by_four_matches_reference_layout():
     assert len(grid.graph.edges) == 49
     spans = {i: (js[0], js[-1], len(js)) for i, js in grid.rows.items()}
     assert spans == {1: (1, 9, 9), 2: (1, 10, 10), 3: (2, 11, 10), 4: (3, 11, 9)}
+
+
+def test_built_index_matches_coords_and_is_not_compared():
+    grid = build_hex_grid(3, 4)
+    assert grid.index == {c: v for v, c in enumerate(grid.coords)}
+    plain = HexGrid(grid.m, grid.n, grid.graph, grid.coords)
+    assert plain == grid and hash(plain) == hash(grid)
+    assert plain.index == grid.index
 
 
 @pytest.mark.parametrize("n", range(1, 7))

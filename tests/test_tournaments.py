@@ -12,7 +12,6 @@ from orihex.tournaments import (
     fixture_a6,
     named_tournament,
     parse_tournament,
-    relabel_tournament,
     resolve_tournament,
 )
 
@@ -92,7 +91,8 @@ def test_canonical_relabeling_invariance():
         for _ in range(10):
             perm = list(range(5))
             rng.shuffle(perm)
-            assert canonical_form(relabel_tournament(t, perm)) == base
+            relabeled = Tournament.from_arcs(5, [(perm[u], perm[v]) for (u, v) in t.arcs])
+            assert canonical_form(relabeled) == base
 
 
 def test_named_tournaments_pairwise_nonisomorphic():
@@ -100,7 +100,7 @@ def test_named_tournaments_pairwise_nonisomorphic():
     assert len(forms) == 12
 
 
-@pytest.mark.parametrize("k,classes", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 12)])
+@pytest.mark.parametrize("k,classes", [(1, 1), (2, 1), (3, 2), (4, 4), (5, 12), (6, 56)])
 def test_census_counts(k, classes):
     assert len(enumerate_tournaments(k)) == classes
 
@@ -113,21 +113,21 @@ def test_census_matches_named_list():
 
 def test_census_completeness_spot_check():
     census_forms = {canonical_form(t) for t in enumerate_tournaments(5)}
-    rng = random.Random(123)
-    for _ in range(1000):
-        bits = "".join(str(rng.getrandbits(1)) for _ in range(10))
+    for value in range(1 << 10):
+        bits = format(value, "010b")
         assert canonical_form(parse_tournament(bits, 5)) in census_forms
 
 
 def test_census_limit():
     with pytest.raises(ValueError):
-        enumerate_tournaments(6)
+        enumerate_tournaments(7)
 
 
 def test_census_sorted_by_canonical_bits():
-    bits = [t.bits for t in enumerate_tournaments(5)]
-    assert bits == sorted(bits)
-    assert all(canonical_form(t) == t.bits for t in enumerate_tournaments(5))
+    for k in (5, 6):
+        bits = [t.bits for t in enumerate_tournaments(k)]
+        assert bits == sorted(bits)
+        assert all(canonical_form(t) == t.bits for t in enumerate_tournaments(k))
 
 
 def test_double_score_three_cycle():
@@ -153,7 +153,8 @@ def test_double_score_isomorphism_invariant():
         base = double_score_set(t)
         perm = list(range(5))
         rng.shuffle(perm)
-        assert double_score_set(relabel_tournament(t, perm)) == base
+        relabeled = Tournament.from_arcs(5, [(perm[u], perm[v]) for (u, v) in t.arcs])
+        assert double_score_set(relabeled) == base
 
 
 def test_a6_fixture():
