@@ -52,18 +52,6 @@ class UndirectedGraph:
                 raise ValueError(f"duplicate edge {{{u},{v}}}")
             seen.add(key)
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        nbrs = [[] for _ in range(self.n_vertices)]
-        for (u, v) in self.edges:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
-
-    @cached_property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(len(ns) for ns in self.adjacency)
-
 
 @dataclass(frozen=True)
 class OrientedGraph:
@@ -211,13 +199,11 @@ def orient(g: UndirectedGraph, code: Iterable[int] | str) -> OrientedGraph:
     return OrientedGraph(g.n_vertices, arcs)
 
 
-def enumerate_orientations(
-    g: UndirectedGraph, limit: int = MAX_ENUMERATION_EDGES
-) -> Iterator[OrientedGraph]:
+def enumerate_orientations(g: UndirectedGraph) -> Iterator[OrientedGraph]:
     """All 2^|E| orientations of g, streamed in lexicographic code order."""
     m = len(g.edges)
-    if m > limit:
-        raise ValueError(f"{m} edges exceeds enumeration limit {limit}")
+    if m > MAX_ENUMERATION_EDGES:
+        raise ValueError(f"{m} edges exceeds enumeration limit {MAX_ENUMERATION_EDGES}")
 
     def generate():
         for value in range(1 << m):

@@ -200,17 +200,17 @@ def homomorphism_exists(
     return HomResult(True, witness, nodes, max_depth)
 
 
-def brute_force_hom(g: OrientedGraph, t: Tournament, guard: int = BRUTE_FORCE_GUARD) -> HomResult:
+def brute_force_hom(g: OrientedGraph, t: Tournament) -> HomResult:
     """Exhaustively scan all k^n vertex maps in lexicographic order.
 
     Independent oracle for homomorphism_exists; refuses instances with
-    more than `guard` candidate maps.
+    more than BRUTE_FORCE_GUARD candidate maps.
     """
     import numpy as np  # only this oracle needs it; keeps the CLI's import light
     n, k = g.n_vertices, t.order
     total = k**n
-    if total > guard:
-        raise ValueError(f"{k}^{n} = {total} maps exceeds guard {guard}")
+    if total > BRUTE_FORCE_GUARD:
+        raise ValueError(f"{k}^{n} = {total} maps exceeds guard {BRUTE_FORCE_GUARD}")
     if n == 0:
         return HomResult(True, (), 0, 0)
     if k == 0:

@@ -12,8 +12,11 @@ exercised exhaustively on the one-hexagon grid and on seeded random
 orientations of a larger grid (the universal claim is property-tested,
 not proved, by this pipeline).
 
-Every check is recorded with verdict, inputs, statistics, and wall time;
-the overall verdict is PASS exactly when all mandatory checks pass.
+``verify_paper`` runs one table of ``(name, mandatory, inputs, fn)``
+checks in order, ``fn()`` returning ``(verdict, details)``; its one loop
+times each ``fn()`` whole (the record's ``elapsed_s``) and records it.
+The two summaries read the records made before them. The overall verdict
+is PASS exactly when all mandatory checks pass.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import __version__
 from .digraph import enumerate_orientations, random_orientation
@@ -57,6 +61,8 @@ SOLVER_BUDGET_S = 60.0
 SCALES = {"small": (5, 5, 200), "full": (8, 8, 1000)}
 
 T5_CODES = [1, 2, 3, 8, 9, 11, 14, 17, 19, 20]
+
+_FIXTURES = {"H4": fixture_h4, "H49": fixture_h49}
 
 #: 1-based arc list of the 18-vertex fixture, pinned independently of the
 #: packaged data file.
@@ -115,42 +121,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
-
-
-def _record(name, mandatory, fn, inputs) -> CheckRecord:
-    start = time.perf_counter()
-    verdict, details = fn()
-    elapsed = time.perf_counter() - start
-    return CheckRecord(name, mandatory, verdict, inputs, details, elapsed)
-
-
-def _hom_search(fixture_name: str, graph, tname: str) -> dict:
-    """Solve fixture-vs-tournament under the solver budget; the report's
-    record of the search."""
-    t = named_tournament(tname)
-    start = time.perf_counter()
-    try:
-        result = homomorphism_exists(graph, t, time_budget_s=SOLVER_BUDGET_S)
-    except SearchBudgetExceeded:
-        return {
-            "fixture": fixture_name,
-            "target": tname,
-            "verdict": "BUDGET_EXCEEDED",
-            "elapsed_s": time.perf_counter() - start,
-        }
-    witness_ok = None
-    if result.found:
-        witness_ok = validate_homomorphism(graph, t, result.witness)
-    return {
-        "fixture": fixture_name,
-        "target": tname,
-        "verdict": "FOUND" if result.found else "NONE",
-        "witness": list(result.witness) if result.found else None,
-        "witness_valid": witness_ok,
-        "nodes_expanded": result.nodes_expanded,
-        "max_depth": result.max_depth,
-        "elapsed_s": time.perf_counter() - start,
-    }
 
 
 def _census_check():
@@ -247,15 +217,6 @@ def _h49_integrity_check():
     return _fixture_check("h49.digraph", fixture_h49())
 
 
-def _hom_record_to_check(rec: dict, expect_none: bool) -> tuple[str, dict]:
-    if rec["verdict"] == "BUDGET_EXCEEDED":
-        return "FAIL", rec
-    ok = (rec["verdict"] == "NONE") == expect_none
-    if rec["verdict"] == "FOUND" and rec.get("witness_valid") is False:
-        ok = False
-    return ("PASS" if ok else "FAIL"), rec
-
-
 def _upper_bound_exhaustive():
     grid = build_hex_grid(1, 1)
     a6 = fixture_a6()
@@ -296,78 +257,93 @@ def _upper_bound_sampled(seed: int, scale: str):
     return "PASS" if ok else "FAIL", details
 
 
+def _search_check(fixture: str, target: str, gating: bool) -> tuple[str, dict]:
+    """Solve fixture-vs-tournament under the solver budget. A gating search
+    passes iff it proves there is no homomorphism; any other search is
+    reported for information."""
+    graph, t = _FIXTURES[fixture]().graph, named_tournament(target)
+    details = {"fixture": fixture, "target": target}
+    start = time.perf_counter()
+    try:
+        result = homomorphism_exists(graph, t, time_budget_s=SOLVER_BUDGET_S)
+    except SearchBudgetExceeded:
+        details["verdict"] = "BUDGET_EXCEEDED"
+    else:
+        details.update(
+            verdict="FOUND" if result.found else "NONE",
+            witness=list(result.witness) if result.found else None,
+            witness_valid=validate_homomorphism(graph, t, result.witness)
+            if result.found else None,
+            nodes_expanded=result.nodes_expanded,
+            max_depth=result.max_depth,
+        )
+    details["elapsed_s"] = time.perf_counter() - start
+    if not gating:
+        return "INFO", details
+    return ("PASS" if details["verdict"] == "NONE" else "FAIL"), details
+
+
+def _searches(prefix: str, gating: bool, pairs) -> list[tuple]:
+    return [
+        (f"{prefix}_{f.lower()}_{t.lower()}", gating, {"fixture": f, "target": t},
+         partial(_search_check, f, t, gating))
+        for f, t in pairs
+    ]
+
+
+def _lower_bound_combined(report: VerificationReport) -> tuple[str, dict]:
+    ok = all(c.verdict == "PASS" for c in report.checks if c.name.startswith("lower_bound_"))
+    return ("PASS" if ok else "FAIL"), {
+        "summary": "lower_bound: no 5-tournament colors both H4 and H49"
+        if ok else "lower_bound: refuted by a homomorphism",
+        "conclusion": "every 5-coloring target is excluded by one of the two "
+                      "lattice-patch orientations, so hexagonal grids containing "
+                      "both need at least 6 colors" if ok else None,
+        "host_grid_placement": "not constructed",
+    }
+
+
+def _h4_colorable(report: VerificationReport) -> tuple[str, dict]:
+    found = [c.details["target"] for c in report.checks
+             if c.name.startswith("derived_hom_h4_") and c.details["verdict"] == "FOUND"]
+    return "INFO", {"colorable_by": found, "colorable_with_some_5_tournament": bool(found)}
+
+
 def verify_paper(seed: int = 0, scale: str = "small") -> VerificationReport:
     """Run every check and assemble the report (PASS exit means both bounds
     verified at the requested scale)."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {sorted(SCALES)}")
     report = VerificationReport(seed=seed, scale=scale)
-    add = report.checks.append
-
-    add(_record("tournament_census", True, _census_check, {"order": 5}))
-    add(_record("double_score_sets", True, _double_score_check, {"tournaments": "T1..T12"}))
-    add(_record("t5_arc_codes", True, _t5_codes_check, {"tournament": "T5"}))
-    add(_record("a6_degrees", True, _a6_degree_check, {"tournament": "A6"}))
-    add(_record("a6_path_property", True, _a6_path_property_check, {"tournament": "A6"}))
-
-    # homomorphism nonexistence checks
-    h4, h49 = fixture_h4().graph, fixture_h49().graph
-    rec = _hom_search("H4", h4, "T5")
-    verdict, details = _hom_record_to_check(rec, expect_none=True)
-    add(CheckRecord("lower_bound_h4_t5", True, verdict, {"fixture": "H4", "target": "T5"},
-                    details, rec["elapsed_s"]))
-    for i in range(1, 13):
-        if i == 5:
-            continue
-        rec = _hom_search("H49", h49, f"T{i}")
-        verdict, details = _hom_record_to_check(rec, expect_none=True)
-        add(CheckRecord(f"lower_bound_h49_t{i}", True, verdict,
-                        {"fixture": "H49", "target": f"T{i}"}, details, rec["elapsed_s"]))
-
-    lower_ok = all(
-        c.verdict == "PASS" for c in report.checks if c.name.startswith("lower_bound_")
-    )
-    add(CheckRecord(
-        "lower_bound_combined", True, "PASS" if lower_ok else "FAIL",
-        {"fixtures": ["H4", "H49"], "targets": "T1..T12"},
-        {
-            "summary": "lower_bound: no 5-tournament colors both H4 and H49"
-            if lower_ok else "lower_bound: refuted by a homomorphism",
-            "conclusion": "every 5-coloring target is excluded by one of the two "
-                          "lattice-patch orientations, so hexagonal grids containing "
-                          "both need at least 6 colors" if lower_ok else None,
-            "host_grid_placement": "not constructed",
-        },
-        0.0,
-    ))
-
-    # derived-fact reports, not gating
-    rec = _hom_search("H49", h49, "T5")
-    add(CheckRecord("derived_hom_h49_t5", False, "INFO",
-                    {"fixture": "H49", "target": "T5"}, rec, rec["elapsed_s"]))
-    found_targets = []
-    for i in range(1, 13):
-        if i == 5:
-            continue
-        rec = _hom_search("H4", h4, f"T{i}")
-        add(CheckRecord(f"derived_hom_h4_t{i}", False, "INFO",
-                        {"fixture": "H4", "target": f"T{i}"}, rec, rec["elapsed_s"]))
-        if rec["verdict"] == "FOUND":
-            found_targets.append(f"T{i}")
-    add(CheckRecord("derived_h4_colorable_order5", False, "INFO",
-                    {"fixture": "H4"},
-                    {"colorable_by": found_targets,
-                     "colorable_with_some_5_tournament": bool(found_targets)}, 0.0))
-
-    add(_record("fixture_h4_integrity", True, _h4_integrity_check, {"fixture": "H4"}))
-    add(_record("fixture_h49_integrity", True, _h49_integrity_check, {"fixture": "H49"}))
-
-    add(_record("upper_bound_exhaustive_h11", True, _upper_bound_exhaustive,
-                {"grid": "H_1,1", "orientations": 64}))
     m, n, trials = SCALES[scale]
-    add(_record("upper_bound_sampled", True,
-                lambda: _upper_bound_sampled(seed, scale),
-                {"grid": f"H_{m},{n}", "orientations": trials, "seed": seed}))
+    others = [f"T{i}" for i in range(1, 13) if i != 5]
+    checks = [
+        ("tournament_census", True, {"order": 5}, _census_check),
+        ("double_score_sets", True, {"tournaments": "T1..T12"}, _double_score_check),
+        ("t5_arc_codes", True, {"tournament": "T5"}, _t5_codes_check),
+        ("a6_degrees", True, {"tournament": "A6"}, _a6_degree_check),
+        ("a6_path_property", True, {"tournament": "A6"}, _a6_path_property_check),
+        *_searches("lower_bound", True, [("H4", "T5")] + [("H49", t) for t in others]),
+        ("lower_bound_combined", True,
+         {"fixtures": ["H4", "H49"], "targets": "T1..T12"},
+         partial(_lower_bound_combined, report)),
+        *_searches("derived_hom", False, [("H49", "T5")] + [("H4", t) for t in others]),
+        ("derived_h4_colorable_order5", False, {"fixture": "H4"},
+         partial(_h4_colorable, report)),
+        ("fixture_h4_integrity", True, {"fixture": "H4"}, _h4_integrity_check),
+        ("fixture_h49_integrity", True, {"fixture": "H49"}, _h49_integrity_check),
+        ("upper_bound_exhaustive_h11", True, {"grid": "H_1,1", "orientations": 64},
+         _upper_bound_exhaustive),
+        ("upper_bound_sampled", True,
+         {"grid": f"H_{m},{n}", "orientations": trials, "seed": seed},
+         partial(_upper_bound_sampled, seed, scale)),
+    ]
+    for name, mandatory, inputs, fn in checks:
+        start = time.perf_counter()
+        verdict, details = fn()
+        report.checks.append(
+            CheckRecord(name, mandatory, verdict, inputs, details, time.perf_counter() - start)
+        )
     return report
 
 

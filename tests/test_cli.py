@@ -219,14 +219,28 @@ def test_verify_paper_out_writes_json(monkeypatch, tmp_path, capsys):
     assert json.loads(out_path.read_text()) == {"overall": "PASS"}
 
 
-def test_cli_import_leaves_numpy_out():
+def _src_env():
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_leaves_numpy_out():
     probe = "import sys, orihex.cli; print('numpy' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def test_python_dash_m_runs_the_cli():
+    done = subprocess.run([sys.executable, "-m", "orihex", "hom", "check", "-g", "H4", "-t", "T5"],
+                          env=_src_env(), capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stdout.startswith("NONE ")
+    done = subprocess.run([sys.executable, "-m", "orihex.cli", "tourn", "list", "-k", "3"],
+                          env=_src_env(), capture_output=True, text=True)
+    assert done.returncode == 0
+    assert len(done.stdout.splitlines()) == 2
 
 
 def test_installed_binary_exit_codes(tmp_path):

@@ -155,10 +155,6 @@ def test_enumerate_limit():
     g = UndirectedGraph(26, tuple((i, i + 1) for i in range(25)))
     with pytest.raises(ValueError):
         enumerate_orientations(g)
-    small = path(6)
-    with pytest.raises(ValueError):
-        enumerate_orientations(small, limit=4)
-    assert sum(1 for _ in enumerate_orientations(small, limit=5)) == 32
 
 
 def test_random_orientation_deterministic():

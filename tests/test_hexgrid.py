@@ -76,12 +76,16 @@ def test_bipartite_and_degree_bound_small_range():
     for m in range(1, 9):
         for n in range(1, 9):
             grid = build_hex_grid(m, n)
-            assert max(grid.graph.degrees) <= 3
+            adj = [[] for _ in range(grid.graph.n_vertices)]
+            for (u, v) in grid.graph.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            assert max(len(ns) for ns in adj) <= 3
             color = {0: 0}
             dq = deque([0])
             while dq:
                 v = dq.popleft()
-                for w in grid.graph.adjacency[v]:
+                for w in adj[v]:
                     if w not in color:
                         color[w] = 1 - color[v]
                         dq.append(w)

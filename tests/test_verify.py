@@ -1,0 +1,63 @@
+"""The verify-paper report: its pinned content and its FAIL paths."""
+
+import json
+from pathlib import Path
+
+import orihex.cli as cli
+import orihex.verify as verify
+from orihex.homomorphism import HomResult, SearchBudgetExceeded
+
+GOLDEN = Path(__file__).parent / "golden" / "verify_small_seed0.json"
+
+
+def without_times(obj):
+    """obj with every ``elapsed_s`` key removed at any depth."""
+    if isinstance(obj, dict):
+        return {k: without_times(v) for k, v in obj.items() if k != "elapsed_s"}
+    if isinstance(obj, list):
+        return [without_times(v) for v in obj]
+    return obj
+
+
+def records(report):
+    return {c.name: c for c in report.checks}
+
+
+def test_report_matches_golden():
+    report = verify.verify_paper(seed=0, scale="small")
+    assert without_times(report.to_dict()) == json.loads(GOLDEN.read_text())
+
+
+def test_gating_search_over_budget_fails(monkeypatch, capsys):
+    def over_budget(g, t, time_budget_s=None):
+        raise SearchBudgetExceeded("time budget exceeded")
+
+    monkeypatch.setattr(verify, "homomorphism_exists", over_budget)
+    report = verify.verify_paper(seed=0, scale="small")
+    rec = records(report)["lower_bound_h4_t5"]
+    assert rec.verdict == "FAIL"
+    assert rec.details["verdict"] == "BUDGET_EXCEEDED"
+    assert report.overall == "FAIL"
+    assert cli.cli_dispatch(["verify-paper"]) == 1
+    assert "overall: FAIL" in capsys.readouterr().out
+
+
+def test_gating_search_found_fails(monkeypatch):
+    real = verify.homomorphism_exists
+
+    def found_into_t5(g, t, time_budget_s=None):
+        if g.n_vertices == 18 and t == verify.named_tournament("T5"):
+            return HomResult(True, (0,) * 18, 1, 18)
+        return real(g, t, time_budget_s=time_budget_s)
+
+    monkeypatch.setattr(verify, "homomorphism_exists", found_into_t5)
+    report = verify.verify_paper(seed=0, scale="small")
+    checks = records(report)
+    rec = checks["lower_bound_h4_t5"]
+    assert rec.verdict == "FAIL"
+    assert rec.details["verdict"] == "FOUND"
+    assert rec.details["witness_valid"] is False
+    combined = checks["lower_bound_combined"]
+    assert combined.verdict == "FAIL"
+    assert combined.details["summary"] == "lower_bound: refuted by a homomorphism"
+    assert report.overall == "FAIL"
