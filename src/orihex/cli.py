@@ -234,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     hcheck = hsub.add_parser("check", help="decide homomorphism existence (exit 1 if none)")
     hcheck.add_argument("-g", "--graph", required=True, help="graph file, or H4/H49")
     hcheck.add_argument("-t", "--tournament", required=True, help="T1..T12, A6, or k:bits")
-    hcheck.add_argument("--brute", action="store_true", help="use the exhaustive oracle")
+    hcheck.add_argument("--brute", action="store_true", help="use the frontier DP oracle")
     hcheck.add_argument("--json", action="store_true")
     hcheck.set_defaults(fn=_cmd_hom_check)
 

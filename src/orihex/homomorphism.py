@@ -1,9 +1,9 @@
 """Deciding homomorphism existence from an oriented graph to a tournament.
 
 Two independent routes: a complete, iterative backtracking search that
-maintains arc consistency over bitmask domains (the workhorse), and an
-exhaustive map enumeration used as a cross-checking oracle on small
-instances. Both are deterministic.
+maintains arc consistency over bitmask domains (the workhorse), and a
+frontier dynamic program used as a cross-checking oracle on instances
+whose vertex order keeps the frontier narrow. Both are deterministic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .digraph import OrientedGraph
 from .tournaments import Tournament, enumerate_tournaments
 
 BRUTE_FORCE_GUARD = 10**7
-_BRUTE_CHUNK = 1 << 18
 
 Homomorphism = tuple[int, ...]
 
@@ -200,43 +199,68 @@ def homomorphism_exists(
     return HomResult(True, witness, nodes, max_depth)
 
 
-def brute_force_hom(g: OrientedGraph, t: Tournament) -> HomResult:
-    """Exhaustively scan all k^n vertex maps in lexicographic order.
+def _frontier_steps(g: OrientedGraph, k: int) -> list[tuple]:
+    """Per vertex v in index order: v's arcs to earlier vertices as (frontier
+    position, earlier end is the tail), the frontier positions that stay,
+    and whether v joins the frontier, the added vertices with a neighbor
+    still to come. ValueError once k^|frontier| exceeds BRUTE_FORCE_GUARD."""
+    last = list(range(g.n_vertices))  # highest-index neighbor, or the vertex itself
+    back: list[list[tuple[int, bool]]] = [[] for _ in last]
+    for (u, v) in g.arcs:
+        last[u], last[v] = max(last[u], v), max(last[v], u)
+        back[max(u, v)].append((min(u, v), u < v))
+    frontier: list[int] = []
+    steps = []
+    for v in range(g.n_vertices):
+        keep = [i for i, w in enumerate(frontier) if last[w] > v]
+        stays = last[v] > v
+        steps.append(([(frontier.index(w), tail) for (w, tail) in back[v]], keep, stays))
+        frontier = [frontier[i] for i in keep] + [v] * stays
+        if k ** len(frontier) > BRUTE_FORCE_GUARD:
+            raise ValueError(f"{k}^{len(frontier)} frontier states exceed {BRUTE_FORCE_GUARD}")
+    return steps
 
-    Independent oracle for homomorphism_exists; refuses instances with
-    more than BRUTE_FORCE_GUARD candidate maps.
+
+def brute_force_hom(g: OrientedGraph, t: Tournament) -> HomResult:
+    """Dynamic program over g's vertices in index order: the independent
+    oracle for homomorphism_exists, reading only t's out- and in-masks.
+
+    A state is the tuple of colors of the frontier. Each layer maps every
+    reachable state to the (previous state, color) that first reached it,
+    so a FOUND result reads its witness back. Instances whose frontier
+    allows more than BRUTE_FORCE_GUARD states are refused before the DP
+    starts. `nodes_expanded` counts the states reached and `max_depth` the
+    vertices processed.
     """
-    import numpy as np  # only this oracle needs it; keeps the CLI's import light
-    n, k = g.n_vertices, t.order
-    total = k**n
-    if total > BRUTE_FORCE_GUARD:
-        raise ValueError(f"{k}^{n} = {total} maps exceeds guard {BRUTE_FORCE_GUARD}")
-    if n == 0:
-        return HomResult(True, (), 0, 0)
-    if k == 0:
-        return HomResult(False, None, 0, 0)
-    adj = np.zeros((k, k), dtype=bool)
-    for (u, v) in t.arcs:
-        adj[u, v] = True
-    divisors = np.array([k ** (n - 1 - i) for i in range(n)], dtype=np.int64)
-    checked = 0
-    for start in range(0, total, _BRUTE_CHUNK):
-        stop = min(start + _BRUTE_CHUNK, total)
-        indices = np.arange(start, stop, dtype=np.int64)
-        digits = (indices[None, :] // divisors[:, None]) % k
-        valid = np.ones(stop - start, dtype=bool)
-        for (u, v) in g.arcs:
-            valid &= adj[digits[u], digits[v]]
-            if not valid.any():
-                break
-        hits = np.flatnonzero(valid)
-        if hits.size:
-            checked += int(hits[0]) + 1
-            witness = tuple(int(c) for c in digits[:, hits[0]])
-            assert validate_homomorphism(g, t, witness)
-            return HomResult(True, witness, checked, n)
-        checked += stop - start
-    return HomResult(False, None, checked, n)
+    k = t.order
+    steps = _frontier_steps(g, k)
+    out, inn = t.out_masks, t.in_masks
+    layers: list[dict] = [{(): None}]
+    nodes = 0
+    for (back, keep, stays) in steps:
+        checks = [(i, out if tail else inn) for (i, tail) in back]
+        reached: dict = {}
+        for state in layers[-1]:
+            allowed = (1 << k) - 1
+            for (i, masks) in checks:
+                allowed &= masks[state[i]]
+            if not stays:
+                allowed &= -allowed  # v leaves the frontier: one color serves
+            kept = tuple(state[i] for i in keep)
+            while allowed:
+                c = (allowed & -allowed).bit_length() - 1
+                allowed ^= 1 << c
+                reached.setdefault(kept + (c,) if stays else kept, (state, c))
+        nodes += len(reached)
+        if not reached:
+            return HomResult(False, None, nodes, len(layers))
+        layers.append(reached)
+    witness = [0] * len(steps)
+    state = ()  # the frontier is empty after the last vertex
+    for v in reversed(range(len(steps))):
+        state, witness[v] = layers[v + 1][state]
+    assert validate_homomorphism(g, t, witness)
+    return HomResult(True, tuple(witness), nodes, len(steps))
 
 
 def colorable_with_order(g: OrientedGraph, k: int) -> bool:

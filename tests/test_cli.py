@@ -9,8 +9,9 @@ import pytest
 import orihex.cli as cli
 import orihex.verify as verify
 from orihex.digraph import parse_digraph
-from orihex.hexgrid import build_hex_grid
-from orihex.homomorphism import SearchBudgetExceeded
+from orihex.hexgrid import build_hex_grid, fixture_h4
+from orihex.homomorphism import SearchBudgetExceeded, validate_homomorphism
+from orihex.tournaments import named_tournament
 
 GOLDEN = Path(__file__).parent / "golden" / "h4_t5.dat"
 
@@ -65,6 +66,14 @@ def test_hom_check_json_and_brute(capsys):
     assert payload["verdict"] == "NONE"
     assert payload["witness"] is None
     assert payload["nodes_expanded"] > 0
+    code, out, _ = run(capsys, "hom", "check", "-g", "H4", "-t", "T5", "--brute", "--json")
+    assert code == 1
+    assert json.loads(out)["verdict"] == "NONE"
+    code, out, _ = run(capsys, "hom", "check", "-g", "H4", "-t", "T2", "--brute", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "FOUND"
+    assert validate_homomorphism(fixture_h4().graph, named_tournament("T2"), payload["witness"])
 
 
 @pytest.mark.parametrize(
@@ -89,6 +98,13 @@ def test_hom_check_brute_small(tmp_path, capsys):
     assert code == 1
     code, out, _ = run(capsys, "hom", "check", "-g", str(f), "-t", "T5", "--brute")
     assert code == 0
+
+
+def test_hom_check_brute_over_guard_exits_two(capsys):
+    code, out, err = run(capsys, "hom", "check", "-g", "H49", "-t", "T5", "--brute")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_usage_errors_exit_two(capsys):
@@ -225,8 +241,11 @@ def _src_env():
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
-def test_cli_import_leaves_numpy_out():
-    probe = "import sys, orihex.cli; print('numpy' in sys.modules)"
+def test_cli_and_oracle_leave_numpy_out():
+    probe = ("import sys, orihex, orihex.cli\n"
+             "g = orihex.OrientedGraph(3, ((0, 1), (1, 2), (2, 0)))\n"
+             "assert orihex.brute_force_hom(g, orihex.named_tournament('T5')).found\n"
+             "print('numpy' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", probe], env=_src_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"

@@ -90,9 +90,19 @@ def test_brute_force_basics():
 
 
 def test_brute_force_guard():
-    g = OrientedGraph(20, tuple((i, i + 1) for i in range(19)))
-    with pytest.raises(ValueError):
-        brute_force_hom(g, named_tournament("T5"))
+    # in index order H49's frontier is 19 vertices wide: 5^19 states
+    with pytest.raises(ValueError, match="frontier states exceed"):
+        brute_force_hom(fixture_h49().graph, named_tournament("T5"))
+
+
+def test_oracle_decides_h4_fixture_verdicts():
+    g = fixture_h4().graph
+    for name in TOURNAMENT_BITS:
+        t = named_tournament(name)
+        result = brute_force_hom(g, t)
+        assert result.found == homomorphism_exists(g, t).found, name
+        if result.found:
+            assert validate_homomorphism(g, t, result.witness)
 
 
 def test_directed_hexagon_verdicts_agree():
