@@ -23,7 +23,6 @@ from .hexcolor import (
     Prop1Check,
     check_property1,
     color_hex,
-    upper_bound_certificate,
 )
 from .hexgrid import (
     AxialFixture,
@@ -68,7 +67,6 @@ __all__ = [
     "Prop1Check",
     "check_property1",
     "color_hex",
-    "upper_bound_certificate",
     "AxialFixture",
     "HexGrid",
     "build_hex_grid",

@@ -14,9 +14,9 @@ of a hexagonal grid row by row:
     anchor two columns over in the previous row;
   * a row's final vertex has no anchor above and is colored greedily.
 
-The steps depend only on the grid's shape: sweep_schedule(m, n) builds
-them once per shape, and the tests check for every m, n <= 30 that they
-constrain each grid edge exactly once.
+The steps are HexGrid.sweep, built once per grid object from its
+coordinates; the tests check for every m, n <= 30 that they constrain
+each grid edge exactly once.
 
 Greedy steps only need every target vertex to have in- and out-degree
 at least 1.
@@ -25,10 +25,10 @@ at least 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 
 from .digraph import OrientedGraph
-from .hexgrid import HexGrid, build_hex_grid
+from .hexgrid import HexGrid
 from .tournaments import Tournament, fixture_a6
 
 #: direction pattern of a three-edge walk; bit r is 1 when edge r points
@@ -103,43 +103,6 @@ def a6_path_table() -> PathTable:
     return check.table
 
 
-@lru_cache(maxsize=16)
-def sweep_schedule(m: int, n: int) -> tuple[tuple[int, ...], ...]:
-    """The row sweep of H_{m,n} as steps over build_hex_grid(m, n)'s vertices.
-
-    Vertex 0 takes color 0 and has no step. A greedy step (v, anchor)
-    colors v against its colored neighbor anchor; a pair step
-    (v0, v1, v2, anchor) colors v1, v2 by the walk v0, v1, v2, anchor,
-    whose anchor lies above v2. The shape's invariants are checked here.
-    """
-    grid = build_hex_grid(m, n)
-    index, rows = grid.index, grid.rows
-
-    def above(i: int, j: int) -> int | None:
-        # (i-1, j) has an edge down to (i, j) exactly when i-1+j is even
-        return index.get((i - 1, j)) if (i - 1 + j) % 2 == 0 else None
-
-    steps: list[tuple[int, ...]] = [
-        (index[(1, j)], index[(1, j - 1)]) for j in rows[1][1:]
-    ]
-    for i in range(2, m + 2):
-        js = rows[i]
-        anchor = above(i, js[0])
-        if anchor is None:
-            raise RuntimeError("row start has no anchor above")
-        steps.append((index[(i, js[0])], anchor))
-        idx = 0
-        while idx + 2 < len(js) and (anchor := above(i, js[idx + 2])) is not None:
-            v0, v1, v2 = (index[(i, j)] for j in js[idx:idx + 3])
-            steps.append((v0, v1, v2, anchor))
-            idx += 2
-        for j in js[idx + 1:]:
-            if above(i, j) is not None:
-                raise RuntimeError("tail vertex unexpectedly anchored above")
-            steps.append((index[(i, j)], index[(i, j - 1)]))
-    return tuple(steps)
-
-
 def color_hex(
     grid: HexGrid,
     orientation: OrientedGraph,
@@ -148,8 +111,7 @@ def color_hex(
 ) -> tuple[int, ...]:
     """Color an orientation of the grid by a homomorphism into the target.
 
-    The grid must be numbered as build_hex_grid numbers it, and the
-    orientation must assign one direction to each grid edge. The table
+    The orientation must assign one direction to each grid edge. The table
     must come from check_property1(target, include_equal_endpoints=True);
     by default the packaged order-6 target and its table are used. The
     result is deterministic and always a valid homomorphism.
@@ -167,15 +129,17 @@ def color_hex(
         raise ValueError("target must have minimum in- and out-degree >= 1")
     if orientation.n_vertices != grid.graph.n_vertices:
         raise ValueError("orientation and grid disagree on vertex count")
-    if {(u, v) if u < v else (v, u) for (u, v) in orientation.arcs} != set(grid.graph.edges):
+    arcs, edges = orientation.arc_set, grid.graph.edges
+    # arcs hold no duplicate or opposite pair, so covering every edge with
+    # as many arcs as edges directs exactly the grid's edges
+    if len(arcs) != len(edges) or not all(e in arcs or e[::-1] in arcs for e in edges):
         raise ValueError("orientation must direct exactly the grid's edges")
 
-    arcs = orientation.arc_set
     # a greedy step takes the lowest color adjacent in the required direction
     lowest_out = [(m & -m).bit_length() - 1 for m in target.out_masks]
     lowest_in = [(m & -m).bit_length() - 1 for m in target.in_masks]
     colors = [0] * orientation.n_vertices
-    for step in sweep_schedule(grid.m, grid.n):
+    for step in grid.sweep:
         if len(step) == 2:
             v, a = step
             colors[v] = lowest_out[colors[a]] if (a, v) in arcs else lowest_in[colors[a]]
@@ -193,33 +157,3 @@ def color_hex(
         if not target.has_arc(result[u], result[v]):
             raise RuntimeError("internal error: coloring violates an arc")
     return result
-
-
-def upper_bound_certificate(
-    g: OrientedGraph,
-    grid: HexGrid,
-    host_orientation: OrientedGraph,
-    placement: tuple[int, ...],
-    target: Tournament | None = None,
-    table: PathTable | None = None,
-) -> tuple[int, ...]:
-    """Color the host grid orientation and restrict to an embedded subgraph.
-
-    placement[u] names the host vertex carrying g's vertex u; every arc of
-    g must appear, with direction, in the host orientation.
-    """
-    if len(placement) != g.n_vertices:
-        raise ValueError("placement must cover every vertex of the subgraph")
-    if len(set(placement)) != len(placement):
-        raise ValueError("placement must be injective")
-    for p in placement:
-        if not (0 <= p < host_orientation.n_vertices):
-            raise ValueError(f"placement target {p} outside the host")
-    host_arcs = host_orientation.arc_set
-    for (u, v) in g.arcs:
-        if (placement[u], placement[v]) not in host_arcs:
-            raise ValueError(
-                f"arc {u + 1} -> {v + 1} is not an arc of the host orientation"
-            )
-    host_colors = color_hex(grid, host_orientation, target, table)
-    return tuple(host_colors[p] for p in placement)

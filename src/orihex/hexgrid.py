@@ -43,8 +43,11 @@ FIXTURE_COUNTS = {"h4.digraph": (18, 21), "h49.digraph": (126, 174)}
 
 @dataclass(frozen=True)
 class HexGrid:
-    """Hexagonal grid: m rows of n hexagons, vertices numbered in row-major
-    (i, j) order."""
+    """Hexagonal grid: m rows of n hexagons, vertex v at coords[v] = (i, j).
+
+    build_hex_grid numbers the vertices in row-major (i, j) order; the
+    sweep reads coordinates through index, so any numbering colors.
+    """
 
     m: int
     n: int
@@ -56,14 +59,40 @@ class HexGrid:
         return {c: v for v, c in enumerate(self.coords)}
 
     @cached_property
-    def rows(self) -> dict[int, list[int]]:
-        """Row index i -> sorted list of column indices j present in the grid."""
-        rows: dict[int, list[int]] = {}
-        for (i, j) in self.coords:
-            rows.setdefault(i, []).append(j)
-        for js in rows.values():
-            js.sort()
-        return rows
+    def sweep(self) -> tuple[tuple[int, ...], ...]:
+        """The row sweep that colors any orientation, as steps over the vertices.
+
+        Vertex (1, 1) keeps its initial color and has no step. A greedy step
+        (v, anchor) colors v against its colored neighbor anchor; a pair
+        step (v0, v1, v2, anchor) colors v1, v2 by the walk v0, v1, v2,
+        anchor, whose anchor lies above v2. The shape's invariants are
+        checked here.
+        """
+        index = self.index
+
+        def above(i: int, j: int) -> int | None:
+            # (i-1, j) has an edge down to (i, j) exactly when i-1+j is even
+            return index.get((i - 1, j)) if (i - 1 + j) % 2 == 0 else None
+
+        lo, hi = hex_row_span(self.m, self.n, 1)
+        steps: list[tuple[int, ...]] = [
+            (index[(1, j)], index[(1, j - 1)]) for j in range(lo + 1, hi + 1)
+        ]
+        for i in range(2, self.m + 2):
+            lo, hi = hex_row_span(self.m, self.n, i)
+            anchor = above(i, lo)
+            if anchor is None:
+                raise RuntimeError("row start has no anchor above")
+            steps.append((index[(i, lo)], anchor))
+            j = lo
+            while j + 2 <= hi and (anchor := above(i, j + 2)) is not None:
+                steps.append((index[(i, j)], index[(i, j + 1)], index[(i, j + 2)], anchor))
+                j += 2
+            for j in range(j + 1, hi + 1):
+                if above(i, j) is not None:
+                    raise RuntimeError("tail vertex unexpectedly anchored above")
+                steps.append((index[(i, j)], index[(i, j - 1)]))
+        return tuple(steps)
 
 
 def hex_row_span(m: int, n: int, i: int) -> tuple[int, int]:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from orihex.digraph import (
     OrientedGraph,
+    UndirectedGraph,
     enumerate_orientations,
     random_orientation,
 )
@@ -10,10 +13,9 @@ from orihex.hexcolor import (
     a6_path_table,
     check_property1,
     color_hex,
-    sweep_schedule,
-    upper_bound_certificate,
 )
 from orihex.hexgrid import (
+    HexGrid,
     build_hex_grid,
     fixture_h4,
     orientation_extending,
@@ -94,7 +96,7 @@ def test_equal_endpoint_lookups_occur():
     """The row sweep really does hit equal anchor colors, so the table must
     cover u == v."""
     grid = build_hex_grid(5, 5)
-    pairs = [step for step in sweep_schedule(5, 5) if len(step) == 4]
+    pairs = [step for step in grid.sweep if len(step) == 4]
     hits = 0
     for seed in range(30):
         colors = color_hex(grid, random_orientation(grid.graph, seed))
@@ -107,13 +109,12 @@ def test_sweep_schedule_constrains_each_edge_once():
     every vertex is colored once, every grid edge is constrained by exactly
     one step, and each pair step's anchor is the vertex above v2, joined to
     it by a vertical edge (even parity)."""
-    build = sweep_schedule.__wrapped__  # uncached: 900 schedules stay out of the cache
     for m in range(1, 31):
         for n in range(1, 31):
             grid = build_hex_grid(m, n)
             colored = {0}
             constrained = []
-            for step in build(m, n):
+            for step in grid.sweep:
                 if len(step) == 2:
                     v, anchor = step
                     reads, writes, path = (anchor,), (v,), (anchor, v)
@@ -166,17 +167,30 @@ def test_color_hex_rejects_unsuitable_target():
         color_hex(grid, oriented, parse_tournament("0000000000", 5))
 
 
-def test_certificate_for_embedded_hexagon():
-    host = build_hex_grid(3, 4)
-    ring = [host.index[c] for c in
-            [(1, 3), (1, 4), (1, 5), (2, 5), (2, 4), (2, 3)]]
-    arcs = tuple((ring[i], ring[(i + 1) % 6]) for i in range(6))
-    g = OrientedGraph(host.graph.n_vertices, arcs)
-    host_orientation = orientation_extending(host, arcs, seed=2)
-    sub = OrientedGraph(6, tuple((i, (i + 1) % 6) for i in range(6)))
-    colors = upper_bound_certificate(sub, host, host_orientation, tuple(ring))
-    assert validate_homomorphism(sub, A6, colors)
-    assert g is not None
+def test_color_hex_accepts_edges_listed_high_to_low():
+    base = build_hex_grid(1, 1)
+    reversed_edges = tuple((v, u) for (u, v) in base.graph.edges)
+    grid = HexGrid(1, 1, UndirectedGraph(6, reversed_edges), base.coords)
+    oriented = random_orientation(grid.graph, 3)
+    assert validate_homomorphism(oriented, A6, color_hex(grid, oriented))
+
+
+def test_renumbered_grid_colors():
+    """The sweep reads coordinates, not row-major numbers: a grid whose
+    vertices and edges are permuted colors every orientation validly."""
+    base = build_hex_grid(3, 4)
+    rng = random.Random(0)
+    perm = list(range(base.graph.n_vertices))
+    rng.shuffle(perm)
+    coords = [None] * len(perm)
+    for v, c in enumerate(base.coords):
+        coords[perm[v]] = c
+    edges = [tuple(sorted((perm[u], perm[v]))) for (u, v) in base.graph.edges]
+    rng.shuffle(edges)
+    grid = HexGrid(3, 4, UndirectedGraph(len(perm), tuple(edges)), tuple(coords))
+    for seed in range(20):
+        oriented = random_orientation(grid.graph, seed)
+        assert validate_homomorphism(oriented, A6, color_hex(grid, oriented))
 
 
 def test_certificate_for_placed_h4():
@@ -188,31 +202,10 @@ def test_certificate_for_placed_h4():
         (placement[u], placement[v]) for (u, v) in fixture.graph.arcs
     )
     host_orientation = orientation_extending(host, forced, seed=0)
-    colors = upper_bound_certificate(
-        fixture.graph, host, host_orientation, placement
-    )
+    host_colors = color_hex(host, host_orientation)
+    colors = tuple(host_colors[p] for p in placement)
     assert validate_homomorphism(fixture.graph, A6, colors)
     assert len(set(colors)) <= 6
-
-
-def test_certificate_empty_subgraph():
-    host = build_hex_grid(1, 1)
-    oriented = random_orientation(host.graph, 0)
-    empty = OrientedGraph(0, ())
-    assert upper_bound_certificate(empty, host, oriented, ()) == ()
-
-
-def test_certificate_rejects_mismatch():
-    host = build_hex_grid(1, 1)
-    oriented = random_orientation(host.graph, 0)
-    (u, v) = oriented.arcs[0]
-    flipped = OrientedGraph(2, ((1, 0),))
-    with pytest.raises(ValueError):
-        upper_bound_certificate(flipped, host, oriented, (u, v))
-    with pytest.raises(ValueError):
-        upper_bound_certificate(
-            OrientedGraph(2, ((0, 1),)), host, oriented, (u, u)
-        )
 
 
 def test_patterns_constant():

@@ -46,7 +46,10 @@ def test_three_by_four_matches_reference_layout():
     grid = build_hex_grid(3, 4)
     assert grid.graph.n_vertices == 38
     assert len(grid.graph.edges) == 49
-    spans = {i: (js[0], js[-1], len(js)) for i, js in grid.rows.items()}
+    rows = {}
+    for (i, j) in grid.coords:
+        rows.setdefault(i, []).append(j)
+    spans = {i: (min(js), max(js), len(js)) for i, js in rows.items()}
     assert spans == {1: (1, 9, 9), 2: (1, 10, 10), 3: (2, 11, 10), 4: (3, 11, 9)}
 
 
