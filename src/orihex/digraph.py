@@ -33,14 +33,37 @@ class ArcError(ValueError):
         self.index, self.problem = index, problem
 
 
+def _is_simple(n_vertices: int, pairs: tuple[tuple[int, int], ...]) -> bool:
+    """True when every endpoint lies in 0..n_vertices-1 and no pair is a
+    self-loop or repeats another pair in either direction.
+
+    One pass of C-level set and min/max work over all pairs: a self-loop
+    (u, u) is its own reverse, so the reversed pairs meet the set exactly
+    at self-loops, 2-cycles and reversed duplicates.
+    """
+    if not pairs:
+        return True
+    tails, heads = zip(*pairs)
+    if min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n_vertices:
+        return False
+    pair_set = set(pairs)
+    return len(pair_set) == len(pairs) and pair_set.isdisjoint(zip(heads, tails))
+
+
 @dataclass(frozen=True)
 class UndirectedGraph:
-    """Simple graph: no self-loops, no duplicate edges."""
+    """Simple graph: no self-loops, no duplicate edges.
+
+    The edges are checked once, in bulk; only a graph that fails is walked
+    edge by edge, to name its first bad edge.
+    """
 
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if _is_simple(self.n_vertices, self.edges):
+            return
         seen = set()
         for (u, v) in self.edges:
             if u == v:
@@ -56,12 +79,18 @@ class UndirectedGraph:
 @dataclass(frozen=True)
 class OrientedGraph:
     """Orientation of a simple graph: each edge carries exactly one direction,
-    so the arc set is antisymmetric and loop-free."""
+    so the arc set is antisymmetric and loop-free.
+
+    The arcs are checked once, in bulk; only a graph that fails is walked
+    arc by arc, to raise ArcError for its first bad arc.
+    """
 
     n_vertices: int
     arcs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if _is_simple(self.n_vertices, self.arcs):
+            return
         seen = set()
         for i, (u, v) in enumerate(self.arcs):
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
@@ -125,10 +154,19 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     arc_lines: list[int] = []
     coords: dict[int, tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        toks = raw.split()
+        # the common case first: an arc line after the header; any other
+        # line falls through to the branches below, which name its fault
+        if len(toks) == 2 and header is not None:
+            try:
+                arcs.append((int(toks[0]) - 1, int(toks[1]) - 1))
+            except ValueError:
+                pass
+            else:
+                arc_lines.append(lineno)
+                continue
+        if not toks or toks[0].startswith("#"):
             continue
-        toks = line.split()
         if header is None:
             if len(toks) != 2:
                 raise GraphFormatError("header must be 'N M'", lineno)
@@ -179,13 +217,13 @@ def parse_digraph(text: str) -> OrientedGraph:
 def serialize_digraph(g: OrientedGraph) -> str:
     """Canonical text form: header plus one 1-based 'u v' line per arc."""
     lines = [f"{g.n_vertices} {len(g.arcs)}"]
-    lines.extend(f"{u + 1} {v + 1}" for (u, v) in g.arcs)
+    lines += [f"{u + 1} {v + 1}" for (u, v) in g.arcs]
     return "\n".join(lines) + "\n"
 
 
 def _normalize_code(code: Iterable[int] | str) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in code)
-    if any(b not in (0, 1) for b in bits):
+    bits = tuple(map(int, code))
+    if not {0, 1}.issuperset(bits):
         raise ValueError("orientation code must consist of 0/1 bits")
     return bits
 
@@ -195,7 +233,7 @@ def orient(g: UndirectedGraph, code: Iterable[int] | str) -> OrientedGraph:
     bits = _normalize_code(code)
     if len(bits) != len(g.edges):
         raise ValueError(f"code length {len(bits)} != edge count {len(g.edges)}")
-    arcs = tuple((u, v) if b else (v, u) for ((u, v), b) in zip(g.edges, bits))
+    arcs = tuple([(u, v) if b else (v, u) for ((u, v), b) in zip(g.edges, bits)])
     return OrientedGraph(g.n_vertices, arcs)
 
 
@@ -213,8 +251,20 @@ def enumerate_orientations(g: UndirectedGraph) -> Iterator[OrientedGraph]:
     return generate()
 
 
+#: byte -> its top bit, the bit getrandbits(1) takes from a 32-bit word
+_TOP_BIT = bytes(b >> 7 for b in range(256))
+
+
 def random_orientation(g: UndirectedGraph, seed: int) -> OrientedGraph:
-    """Seed-deterministic orientation, uniform over the 2^|E| codes."""
-    rng = random.Random(seed)
-    return orient(g, tuple(rng.getrandbits(1) for _ in g.edges))
+    """Seed-deterministic orientation, uniform over the 2^|E| codes.
+
+    Edge i is directed by the top bit of the i-th 32-bit output of
+    random.Random(seed), the bit a getrandbits(1) call per edge would take.
+    The outputs are drawn in one getrandbits(32 * |E|) call, which yields
+    the same words in order, so each seed keeps its orientation.
+    """
+    m = len(g.edges)
+    words = random.Random(seed).getrandbits(32 * m).to_bytes(4 * m, "little")
+    # byte 3 of each little-endian word holds its top bit
+    return orient(g, words[3::4].translate(_TOP_BIT))
 

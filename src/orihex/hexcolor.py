@@ -152,8 +152,7 @@ def color_hex(
             raise RuntimeError("path table is missing a required entry")
         colors[v1], colors[v2] = entry
 
-    result = tuple(colors)
-    for (u, v) in orientation.arcs:
-        if not target.has_arc(result[u], result[v]):
-            raise RuntimeError("internal error: coloring violates an arc")
-    return result
+    out = target.out_masks
+    if not all(out[colors[u]] >> colors[v] & 1 for (u, v) in orientation.arcs):
+        raise RuntimeError("internal error: coloring violates an arc")
+    return tuple(colors)

@@ -246,15 +246,17 @@ def orientation_extending(
         if forced.get(key, (u, v)) != (u, v):
             raise ValueError(f"conflicting directions forced for edge {key}")
         forced[key] = (u, v)
-    edge_set = set(grid.graph.edges)
-    unknown = [key for key in forced if key not in edge_set]
+    # a grid may list an edge either way round; forced holds it low-to-high
+    keys = [(u, v) if u < v else (v, u) for (u, v) in grid.graph.edges]
+    key_set = set(keys)
+    unknown = [key for key in forced if key not in key_set]
     if unknown:
         raise ValueError(f"forced arcs not on grid edges: {unknown}")
     rng = random.Random(seed)
     arcs = []
-    for (u, v) in grid.graph.edges:
-        if (u, v) in forced:
-            arcs.append(forced[(u, v)])
+    for (u, v), key in zip(grid.graph.edges, keys):
+        if key in forced:
+            arcs.append(forced[key])
         else:
             arcs.append((u, v) if rng.getrandbits(1) else (v, u))
     return OrientedGraph(grid.graph.n_vertices, tuple(arcs))

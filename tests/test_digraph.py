@@ -1,9 +1,12 @@
+import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
 from orihex.digraph import (
+    ArcError,
     GraphFormatError,
     OrientedGraph,
     UndirectedGraph,
@@ -13,7 +16,7 @@ from orihex.digraph import (
     random_orientation,
     serialize_digraph,
 )
-from orihex.hexgrid import fixture_file_bytes
+from orihex.hexgrid import build_hex_grid, fixture_file_bytes
 
 
 def path(n):
@@ -172,3 +175,92 @@ def test_random_orientation_single_edge_valid():
     for s in range(4):
         g = random_orientation(e, s)
         assert g.arcs in (((0, 1),), ((1, 0),))
+
+
+# sha256 of serialize_digraph(random_orientation(build_hex_grid(m, n).graph, seed)),
+# pinned while each edge still made its own getrandbits(1) call
+ORIENTATION_SHA256 = {
+    (3, 4, 7): "62a0b03074b146966963841374f3f0e9bb994f2a1d42d6a8869d26ee588ad9b0",
+    (50, 50, 1): "ece22a3b7b7f8a0e87adc51365e3dc792869f1d0f823d7cd011d998346b60c4e",
+    (100, 100, 2): "46ca4283d695ed32fae06aa88b04b903ba52952bca60113aebc1698e59b88ca3",
+}
+
+
+@pytest.mark.parametrize("m,n,seed", sorted(ORIENTATION_SHA256))
+def test_random_orientation_stream_pinned(m, n, seed):
+    text = serialize_digraph(random_orientation(build_hex_grid(m, n).graph, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == ORIENTATION_SHA256[(m, n, seed)]
+
+
+def test_random_orientation_matches_per_edge_draws():
+    graphs = [UndirectedGraph(1, ()), path(2), path(13), cycle(3), cycle(6), cycle(33)]
+    for g in graphs:
+        for seed in range(20):
+            rng = random.Random(seed)
+            code = [rng.getrandbits(1) for _ in g.edges]
+            assert random_orientation(g, seed) == orient(g, code)
+
+
+H50 = build_hex_grid(50, 50).graph
+LATE = len(H50.edges) - 5
+
+
+def h50_arcs_with(bad):
+    """A valid H_{50,50} orientation with arcs[LATE] replaced by bad."""
+    arcs = list(random_orientation(H50, 4).arcs)
+    arcs[LATE] = bad(arcs)
+    return tuple(arcs)
+
+
+ARC_FAULTS = {
+    "out of range": (lambda a: (a[LATE][0], H50.n_vertices),
+                     f"has an endpoint out of range ({H50.n_vertices} vertices)"),
+    "self-loop": (lambda a: (7, 7), "is a self-loop"),
+    "duplicate": (lambda a: a[3], "is a duplicate arc"),
+    "2-cycle": (lambda a: a[3][::-1], "closes a 2-cycle"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(ARC_FAULTS))
+def test_bulk_check_names_the_first_bad_arc(fault):
+    """A large input that fails the bulk check gets the per-arc diagnosis:
+    the bad arc's index and problem, and through the parser its line."""
+    bad, problem = ARC_FAULTS[fault]
+    arcs = h50_arcs_with(bad)
+    with pytest.raises(ArcError) as exc:
+        OrientedGraph(H50.n_vertices, arcs)
+    assert (exc.value.index, exc.value.problem) == (LATE, problem)
+    lines = [f"{u + 1} {v + 1}" for (u, v) in arcs]
+    text = "\n".join([f"{H50.n_vertices} {len(arcs)}", "# H_{50,50}", *lines])
+    with pytest.raises(GraphFormatError) as exc:
+        parse_digraph(text)
+    u, v = arcs[LATE]
+    assert exc.value.line == LATE + 3
+    assert str(exc.value) == f"line {LATE + 3}: arc {u + 1} -> {v + 1} {problem}"
+
+
+def test_bulk_check_names_the_earliest_of_several_faults():
+    arcs = list(h50_arcs_with(ARC_FAULTS["2-cycle"][0]))
+    arcs[LATE + 2] = (3, 3)
+    with pytest.raises(ArcError) as exc:
+        OrientedGraph(H50.n_vertices, tuple(arcs))
+    assert (exc.value.index, exc.value.problem) == (LATE, "closes a 2-cycle")
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (lambda e: (7, 7), "self-loop at vertex 7"),
+        (lambda e: (e[LATE][0], H50.n_vertices),
+         f"out of range 0..{H50.n_vertices - 1}"),
+        (lambda e: e[3], "duplicate edge {%d,%d}"),
+        (lambda e: e[3][::-1], "duplicate edge {%d,%d}"),
+    ],
+)
+def test_bulk_check_names_the_bad_edge(bad, message):
+    edges = list(H50.edges)
+    edges[LATE] = bad(edges)
+    if "%d" in message:
+        message %= edges[LATE]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        UndirectedGraph(H50.n_vertices, tuple(edges))

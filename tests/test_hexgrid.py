@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from orihex.digraph import OrientedGraph
+from orihex.digraph import OrientedGraph, UndirectedGraph
 from orihex.hexgrid import (
     AxialFixture,
     HexGrid,
@@ -236,3 +236,12 @@ def test_orientation_extending():
         orientation_extending(grid, [forced[0], (forced[0][1], forced[0][0])])
     with pytest.raises(ValueError):
         orientation_extending(grid, [(0, grid.graph.n_vertices - 1)])
+
+
+def test_orientation_extending_edges_listed_high_to_low():
+    base = build_hex_grid(1, 1)
+    reversed_edges = tuple((v, u) for (u, v) in base.graph.edges)
+    grid = HexGrid(1, 1, UndirectedGraph(6, reversed_edges), base.coords)
+    assert (1, 0) in reversed_edges
+    oriented = orientation_extending(grid, [(0, 1)], seed=2)
+    assert (0, 1) in oriented.arc_set
