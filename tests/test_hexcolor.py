@@ -22,7 +22,12 @@ from orihex.hexgrid import (
     place_fixture,
 )
 from orihex.homomorphism import validate_homomorphism
-from orihex.tournaments import Tournament, fixture_a6, parse_tournament
+from orihex.tournaments import (
+    Tournament,
+    enumerate_tournaments,
+    fixture_a6,
+    parse_tournament,
+)
 
 A6 = fixture_a6()
 THREE_CYCLE = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
@@ -59,6 +64,48 @@ def test_table_entries_replay_against_arcs():
         for step, bit in enumerate(pat):
             a, b = walk[step], walk[step + 1]
             assert A6.has_arc(a, b) if bit else A6.has_arc(b, a)
+
+
+def _reference_property1(t, include_equal_endpoints):
+    """The nested-loop walk search that check_property1 replaced, kept as
+    an independent reference: (holds, table items in order, missing)."""
+
+    def step_ok(a, b, forward):
+        return t.has_arc(a, b) if forward else t.has_arc(b, a)
+
+    table, missing = [], []
+    for u in range(t.order):
+        for v in range(t.order):
+            if u == v and not include_equal_endpoints:
+                continue
+            for pat in PATTERNS:
+                found = None
+                for x in range(t.order):
+                    if x == u or not step_ok(u, x, pat[0]):
+                        continue
+                    for y in range(t.order):
+                        if y == x or y == v:
+                            continue
+                        if step_ok(x, y, pat[1]) and step_ok(y, v, pat[2]):
+                            found = (x, y)
+                            break
+                    if found:
+                        break
+                if found:
+                    table.append(((u, v, pat), found))
+                else:
+                    missing.append((u, v, pat))
+    return not missing, table, tuple(missing)
+
+
+@pytest.mark.parametrize("include_equal_endpoints", [True, False])
+def test_property1_matches_nested_loop_reference(include_equal_endpoints):
+    targets = [A6] + [t for k in range(2, 7) for t in enumerate_tournaments(k)]
+    assert len(targets) == 76
+    for t in targets:
+        check = check_property1(t, include_equal_endpoints)
+        got = (check.holds, list(check.table.items()), check.missing)
+        assert got == _reference_property1(t, include_equal_endpoints), t.bits
 
 
 def test_order_guard():
