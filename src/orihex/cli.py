@@ -90,6 +90,9 @@ def _grid_orientation(args) -> tuple:
 
 def _cmd_hex_gen(args) -> int:
     grid, oriented = _grid_orientation(args)
+    if args.graph is not None:
+        # seeded and coded orientations direct the grid's edges by construction
+        grid.check_orientation(oriented)
     sys.stdout.write(serialize_digraph(oriented))
     return 0
 

@@ -222,10 +222,10 @@ def serialize_digraph(g: OrientedGraph) -> str:
 
 
 def _normalize_code(code: Iterable[int] | str) -> tuple[int, ...]:
-    bits = tuple(map(int, code))
-    if not {0, 1}.issuperset(bits):
+    bits = tuple(code)
+    if not {0, 1, "0", "1"}.issuperset(bits):
         raise ValueError("orientation code must consist of 0/1 bits")
-    return bits
+    return tuple(map(int, bits))
 
 
 def orient(g: UndirectedGraph, code: Iterable[int] | str) -> OrientedGraph:

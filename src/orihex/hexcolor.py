@@ -55,20 +55,19 @@ class Prop1Check:
         return self.holds
 
 
-def _step_ok(t: Tournament, a: int, b: int, forward: int) -> bool:
-    return t.has_arc(a, b) if forward else t.has_arc(b, a)
-
-
 def check_property1(t: Tournament, include_equal_endpoints: bool = True) -> Prop1Check:
     """Search, for every ordered endpoint pair and every 3-bit direction
     pattern, internal vertices (x, y) realizing the walk u, x, y, v.
 
-    Consecutive walk vertices must differ; non-consecutive repeats are
-    allowed, including u == v when the flag is set. Witnesses pick the
-    lowest (x, y) in lexicographic order.
+    Each step is a lookup in the dominance bitmasks; a tournament has no
+    loops, so consecutive walk vertices differ. Non-consecutive repeats
+    are allowed, including u == v when the flag is set. Witnesses pick
+    the lowest (x, y) in lexicographic order.
     """
     if t.order < 2:
         raise ValueError("target must have order >= 2")
+    # step[1][a]: the vertices a dominates; step[0][a]: those dominating a
+    step = (t.in_masks, t.out_masks)
     table: PathTable = {}
     missing = []
     for u in range(t.order):
@@ -76,20 +75,13 @@ def check_property1(t: Tournament, include_equal_endpoints: bool = True) -> Prop
             if u == v and not include_equal_endpoints:
                 continue
             for pat in PATTERNS:
-                found = None
-                for x in range(t.order):
-                    if x == u or not _step_ok(t, u, x, pat[0]):
-                        continue
-                    for y in range(t.order):
-                        if y == x or y == v:
-                            continue
-                        if _step_ok(t, x, y, pat[1]) and _step_ok(t, y, v, pat[2]):
-                            found = (x, y)
-                            break
-                    if found:
-                        break
-                if found:
-                    table[(u, v, pat)] = found
+                xs, ys = step[pat[0]][u], 0
+                while xs and not ys:
+                    x = (xs & -xs).bit_length() - 1
+                    ys = step[pat[1]][x] & step[1 - pat[2]][v]
+                    xs &= xs - 1
+                if ys:
+                    table[(u, v, pat)] = (x, (ys & -ys).bit_length() - 1)
                 else:
                     missing.append((u, v, pat))
     return Prop1Check(not missing, table, tuple(missing))
@@ -127,13 +119,8 @@ def color_hex(
         table = check.table
     if min(target.out_degrees) < 1 or min(target.in_degrees) < 1:
         raise ValueError("target must have minimum in- and out-degree >= 1")
-    if orientation.n_vertices != grid.graph.n_vertices:
-        raise ValueError("orientation and grid disagree on vertex count")
-    arcs, edges = orientation.arc_set, grid.graph.edges
-    # arcs hold no duplicate or opposite pair, so covering every edge with
-    # as many arcs as edges directs exactly the grid's edges
-    if len(arcs) != len(edges) or not all(e in arcs or e[::-1] in arcs for e in edges):
-        raise ValueError("orientation must direct exactly the grid's edges")
+    grid.check_orientation(orientation)
+    arcs = orientation.arc_set
 
     # a greedy step takes the lowest color adjacent in the required direction
     lowest_out = [(m & -m).bit_length() - 1 for m in target.out_masks]

@@ -58,6 +58,16 @@ class HexGrid:
     def index(self) -> dict[tuple[int, int], int]:
         return {c: v for v, c in enumerate(self.coords)}
 
+    def check_orientation(self, orientation: OrientedGraph) -> None:
+        """Raise ValueError unless orientation directs exactly this grid's edges."""
+        if orientation.n_vertices != self.graph.n_vertices:
+            raise ValueError("orientation and grid disagree on vertex count")
+        arcs, edges = orientation.arc_set, self.graph.edges
+        # arcs hold no duplicate or opposite pair, so covering every edge with
+        # as many arcs as edges directs exactly the grid's edges
+        if len(arcs) != len(edges) or not all(e in arcs or e[::-1] in arcs for e in edges):
+            raise ValueError("orientation must direct exactly the grid's edges")
+
     @cached_property
     def sweep(self) -> tuple[tuple[int, ...], ...]:
         """The row sweep that colors any orientation, as steps over the vertices.

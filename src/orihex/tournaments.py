@@ -213,10 +213,12 @@ def double_score_set(t: Tournament) -> tuple[int, ...]:
     ))
 
 
+@cache
 def fixture_a6() -> Tournament:
     """The order-6 coloring target: every vertex has in- and out-degree >= 2,
     and any two vertices are joined by length-3 paths of all 8 direction
-    patterns (see hexcolor.check_property1)."""
+    patterns (see hexcolor.check_property1). One cached object, so its
+    masks, support tables and degrees are derived once per process."""
     return Tournament.from_arcs(6, A6_ARCS)
 
 

@@ -29,7 +29,7 @@ from functools import partial
 
 from . import __version__
 from .digraph import enumerate_orientations, random_orientation
-from .hexcolor import a6_path_table, check_property1, color_hex
+from .hexcolor import check_property1, color_hex
 from .hexgrid import (
     FIXTURE_COUNTS,
     FIXTURE_DIGESTS,
@@ -217,17 +217,19 @@ def _h49_integrity_check():
     return _fixture_check("h49.digraph", fixture_h49())
 
 
+def _color_all(grid, orientations) -> tuple[int, int]:
+    """Color each orientation with color_hex's defaults; return how many
+    were colored and how many colorings are not homomorphisms into A6."""
+    total = failures = 0
+    for oriented in orientations:
+        total += 1
+        failures += not validate_homomorphism(oriented, fixture_a6(), color_hex(grid, oriented))
+    return total, failures
+
+
 def _upper_bound_exhaustive():
     grid = build_hex_grid(1, 1)
-    a6 = fixture_a6()
-    table = a6_path_table()
-    total = 0
-    failures = 0
-    for oriented in enumerate_orientations(grid.graph):
-        coloring = color_hex(grid, oriented, a6, table)
-        if not validate_homomorphism(oriented, a6, coloring):
-            failures += 1
-        total += 1
+    total, failures = _color_all(grid, enumerate_orientations(grid.graph))
     ok = failures == 0 and total == 64
     return "PASS" if ok else "FAIL", {"orientations": total, "failures": failures}
 
@@ -235,16 +237,9 @@ def _upper_bound_exhaustive():
 def _upper_bound_sampled(seed: int, scale: str):
     m, n, trials = SCALES[scale]
     grid = build_hex_grid(m, n)
-    a6 = fixture_a6()
-    table = a6_path_table()
     rng = random.Random(seed)
     trial_seeds = [rng.getrandbits(32) for _ in range(trials)]
-    failures = 0
-    for s in trial_seeds:
-        oriented = random_orientation(grid.graph, s)
-        coloring = color_hex(grid, oriented, a6, table)
-        if not validate_homomorphism(oriented, a6, coloring):
-            failures += 1
+    _, failures = _color_all(grid, (random_orientation(grid.graph, s) for s in trial_seeds))
     ok = failures == 0
     details = {
         "grid": f"H_{m},{n}",

@@ -161,6 +161,34 @@ def test_color_graph_of_other_grid_exits_two(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+def test_hex_gen_graph_of_other_grid_exits_two(capsys, tmp_path):
+    code, out, err = run(capsys, "hex", "gen", "-m", "1", "-n", "1", "-g", "H4")
+    assert (code, out) == (2, "")
+    assert err == "error: orientation and grid disagree on vertex count\n"
+    # six vertices and six arcs, but two triangles instead of a hexagon
+    f = tmp_path / "not_h11.digraph"
+    f.write_text("6 6\n1 2\n2 3\n3 1\n4 5\n5 6\n6 4\n")
+    code, out, err = run(capsys, "hex", "gen", "-m", "1", "-n", "1", "-g", str(f))
+    assert (code, out) == (2, "")
+    assert err == "error: orientation must direct exactly the grid's edges\n"
+
+
+def test_hex_gen_graph_reproduces_its_file(capsys, tmp_path):
+    code, generated, _ = run(capsys, "hex", "gen", "-m", "2", "-n", "2", "--seed", "3")
+    assert code == 0
+    f = tmp_path / "h22.digraph"
+    f.write_text(generated)
+    code, out, _ = run(capsys, "hex", "gen", "-m", "2", "-n", "2", "-g", str(f))
+    assert (code, out) == (0, generated)
+
+
+def test_non_binary_code_exits_two(capsys):
+    for command in ("hex gen", "color"):
+        code, out, err = run(capsys, *command.split(), "-m", "1", "-n", "1", "--code", "10110x")
+        assert (code, out) == (2, "")
+        assert err == "error: orientation code must consist of 0/1 bits\n"
+
+
 def test_chi_o_of_fixture(capsys):
     # --k-max 7 lies above the census cap, which the search never reaches
     for extra in ((), ("--k-max", "7")):

@@ -127,6 +127,18 @@ def test_orient_length_mismatch():
         orient(path(3), "1")
 
 
+@pytest.mark.parametrize("code", ["1x", "12", "1 ", "-1", [1, 2], [1, 0.5], [1, None]])
+def test_orient_rejects_non_binary_code(code):
+    with pytest.raises(ValueError, match=r"^orientation code must consist of 0/1 bits$"):
+        orient(path(3), code)
+
+
+def test_orient_accepts_bit_values_and_characters():
+    expected = orient(path(3), "10")
+    for code in ([1, 0], (True, False), ["1", "0"], b"\x01\x00"):
+        assert orient(path(3), code) == expected
+
+
 def test_enumerate_single_edge():
     gs = list(enumerate_orientations(path(2)))
     assert len(gs) == 2

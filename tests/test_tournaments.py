@@ -166,6 +166,11 @@ def test_a6_fixture():
     assert tuple(sorted(a6.out_degrees)) == (2, 2, 2, 3, 3, 3)
 
 
+def test_a6_is_one_cached_object():
+    assert fixture_a6() is fixture_a6()
+    assert named_tournament("A6") is fixture_a6()
+
+
 def test_resolve_tournament_forms():
     assert resolve_tournament("T5") == parse_tournament("0001100100", 5)
     assert resolve_tournament("5:0001100100") == named_tournament("T5")
