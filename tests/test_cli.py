@@ -117,6 +117,28 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        ("hom check -g missing.digraph -t T5", "no such graph file: missing.digraph"),
+        ("hom check -g {bad} -t T5", "{bad}: line 3: arc head is not an integer: 'x'"),
+        ("tourn ds -t T99", "unknown tournament name 'T99'"),
+        ("tourn canon -t q:1", "bad tournament order in 'q:1'"),
+        ("tourn canon -t 5:11x", "bitstring length 3 != k(k-1)/2 = 10"),
+        ("export-opl -g H4", "export-opl requires -g and -t (or --model)"),
+        ("export-opl -g H4 -t A6", "data export needs an order-5 tournament"),
+        ("color -m 1 -n 1 --code 1010", "code must have 6 bits for this grid"),
+        ("tourn list -k 7", "order 7 is outside the census range 0..6"),
+    ],
+)
+def test_input_errors_print_one_line(capsys, tmp_path, argv, err):
+    bad = tmp_path / "bad.digraph"
+    bad.write_text("3 2\n1 2\n2 x\n")
+    code, out, got = run(capsys, *argv.format(bad=bad).split())
+    assert (code, out) == (2, "")
+    assert got == f"error: {err.format(bad=bad)}\n"
+
+
 def test_hex_gen_parses_and_is_deterministic(capsys):
     code, out, _ = run(capsys, "hex", "gen", "-m", "3", "-n", "4", "--seed", "6")
     assert code == 0

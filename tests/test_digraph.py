@@ -66,6 +66,8 @@ def test_parse_packaged_h4_degree_bound():
         ("3 2\n1 2\n", "declares 2 arcs", None),
         ("2 1\n1 2\ncoord 3 0 0\n", "out of range", 3),
         ("2 1\n1 2\ncoord 1 0\n", "coord line", 3),
+        ("2 1\nx 2\n", "arc tail is not an integer", 2),
+        ("2 1\n1 y\n", "arc head is not an integer", 2),
     ],
 )
 def test_parse_errors_name_lines(text, fragment, line):
@@ -164,6 +166,16 @@ def test_enumerate_triangle_directed_cycles():
 def test_enumerate_count_is_power_of_two(edges):
     g = path(edges + 1) if edges else UndirectedGraph(1, ())
     assert sum(1 for _ in enumerate_orientations(g)) == 2**edges
+
+
+def test_enumerate_path_in_code_order():
+    # code bit 1 keeps the edge (i, i + 1); the first edge's bit is the highest
+    expected = [
+        tuple((i, i + 1) if value >> (2 - i) & 1 else (i + 1, i) for i in range(3))
+        for value in range(8)
+    ]
+    assert [g.arcs for g in enumerate_orientations(path(4))] == expected
+    assert expected[1] == ((1, 0), (2, 1), (2, 3))
 
 
 def test_enumerate_limit():

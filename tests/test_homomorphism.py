@@ -6,6 +6,7 @@ import pytest
 from orihex.digraph import OrientedGraph, random_orientation
 from orihex.hexgrid import build_hex_grid, fixture_h4, fixture_h49
 from orihex.homomorphism import (
+    HomResult,
     SearchBudgetExceeded,
     brute_force_hom,
     chi_o,
@@ -62,6 +63,15 @@ def test_h4_admits_no_map_to_t5():
     result = homomorphism_exists(fixture_h4().graph, named_tournament("T5"))
     assert not result.found
     assert result.nodes_expanded > 0
+
+
+def test_empty_target_and_empty_graph():
+    assert homomorphism_exists(OrientedGraph(1, ()), Tournament(0, ())) == HomResult(
+        False, None, 0, 0
+    )
+    assert homomorphism_exists(OrientedGraph(0, ()), Tournament(0, ())) == HomResult(
+        True, (), 0, 0
+    )
 
 
 def test_cycle_into_transitive_tournament_none():

@@ -37,6 +37,11 @@ def test_gating_search_over_budget_fails(monkeypatch, capsys):
     rec = records(report)["lower_bound_h4_t5"]
     assert rec.verdict == "FAIL"
     assert rec.details["verdict"] == "BUDGET_EXCEEDED"
+    # the same outcome of a non-gating search is only reported
+    info = records(report)["derived_hom_h49_t5"]
+    assert info.verdict == "INFO"
+    assert info.details["verdict"] == "BUDGET_EXCEEDED"
+    assert records(report)["derived_h4_colorable_order5"].verdict == "INFO"
     assert report.overall == "FAIL"
     assert cli.cli_dispatch(["verify-paper"]) == 1
     assert "overall: FAIL" in capsys.readouterr().out
