@@ -2,8 +2,9 @@
 
 Exit codes: 0 success (or verification PASS / homomorphism found),
 1 verification failure (or no homomorphism / property fails),
-2 usage or input errors, 3 undecided: a search ran out of its time
-budget, of stack or of memory.
+2 usage or input errors (argparse's, and every ValueError or OSError a
+command raises, printed as one "error: ..." line), 3 undecided: a search
+ran out of its time budget, of stack or of memory.
 
 Examples:
   orihex tourn list -k 5
@@ -32,7 +33,7 @@ from .digraph import (
     serialize_digraph,
 )
 from .hexcolor import check_property1, color_hex
-from .hexgrid import build_hex_grid, fixture_h4, fixture_h49
+from .hexgrid import FIXTURES, build_hex_grid
 from .homomorphism import (
     SearchBudgetExceeded,
     brute_force_hom,
@@ -49,30 +50,17 @@ from .tournaments import (
 from .verify import render_text, verify_paper
 
 
-class UsageError(Exception):
-    pass
-
-
 def _load_graph(name_or_path: str) -> OrientedGraph:
     """Resolve a graph argument: the fixture names H4/H49, or a file path."""
-    if name_or_path == "H4":
-        return fixture_h4().graph
-    if name_or_path == "H49":
-        return fixture_h49().graph
+    if name_or_path in FIXTURES:
+        return FIXTURES[name_or_path]().graph
     path = Path(name_or_path)
     if not path.is_file():
-        raise UsageError(f"no such graph file: {name_or_path}")
+        raise ValueError(f"no such graph file: {name_or_path}")
     try:
         return parse_digraph(path.read_text())
     except GraphFormatError as exc:
-        raise UsageError(f"{name_or_path}: {exc}") from exc
-
-
-def _tournament(text: str):
-    try:
-        return resolve_tournament(text)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        raise ValueError(f"{name_or_path}: {exc}") from exc
 
 
 def _grid_orientation(args) -> tuple:
@@ -82,7 +70,7 @@ def _grid_orientation(args) -> tuple:
         return grid, _load_graph(args.graph)
     if args.code is not None:
         if len(args.code) != n_edges:
-            raise UsageError(f"code must have {n_edges} bits for this grid")
+            raise ValueError(f"code must have {n_edges} bits for this grid")
         return grid, orient(grid.graph, args.code)
     seed = args.seed if args.seed is not None else 0
     return grid, random_orientation(grid.graph, seed)
@@ -104,20 +92,20 @@ def _cmd_tourn_list(args) -> int:
 
 
 def _cmd_tourn_ds(args) -> int:
-    t = _tournament(args.tournament)
+    t = resolve_tournament(args.tournament)
     print(" ".join(str(x) for x in double_score_set(t)))
     return 0
 
 
 def _cmd_tourn_canon(args) -> int:
-    t = _tournament(args.tournament)
+    t = resolve_tournament(args.tournament)
     print(f"{t.order}:{canonical_form(t)}")
     return 0
 
 
 def _cmd_hom_check(args) -> int:
     g = _load_graph(args.graph)
-    t = _tournament(args.tournament)
+    t = resolve_tournament(args.tournament)
     result = brute_force_hom(g, t) if args.brute else homomorphism_exists(g, t)
     if args.json:
         print(json.dumps({
@@ -134,7 +122,7 @@ def _cmd_hom_check(args) -> int:
 
 
 def _cmd_prop1(args) -> int:
-    t = _tournament(args.tournament)
+    t = resolve_tournament(args.tournament)
     check = check_property1(t, include_equal_endpoints=not args.distinct_only)
     if args.json:
         print(json.dumps({
@@ -177,11 +165,11 @@ def _cmd_export_opl(args) -> int:
         sys.stdout.write(export_opl_model())
         return 0
     if args.graph is None or args.tournament is None:
-        raise UsageError("export-opl requires -g and -t (or --model)")
+        raise ValueError("export-opl requires -g and -t (or --model)")
     g = _load_graph(args.graph)
-    t = _tournament(args.tournament)
+    t = resolve_tournament(args.tournament)
     if t.order != 5:
-        raise UsageError("data export needs an order-5 tournament")
+        raise ValueError("data export needs an order-5 tournament")
     sys.stdout.write(export_opl_data(g, t))
     return 0
 
@@ -284,7 +272,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.fn(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SearchBudgetExceeded, RecursionError, MemoryError) as exc:

@@ -7,6 +7,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -191,10 +192,9 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
             continue
         if len(toks) != 2:
             raise GraphFormatError("arc line must be 'u v'", lineno)
-        u = _parse_int(toks[0], "arc tail", lineno)
-        v = _parse_int(toks[1], "arc head", lineno)
-        arcs.append((u - 1, v - 1))
-        arc_lines.append(lineno)
+        # the fast branch took this line if both tokens parse, so one raises
+        _parse_int(toks[0], "arc tail", lineno)
+        _parse_int(toks[1], "arc head", lineno)
     if header is None:
         raise GraphFormatError("empty file: missing 'N M' header", 1)
     n, m = header
@@ -242,13 +242,7 @@ def enumerate_orientations(g: UndirectedGraph) -> Iterator[OrientedGraph]:
     m = len(g.edges)
     if m > MAX_ENUMERATION_EDGES:
         raise ValueError(f"{m} edges exceeds enumeration limit {MAX_ENUMERATION_EDGES}")
-
-    def generate():
-        for value in range(1 << m):
-            bits = tuple((value >> (m - 1 - i)) & 1 for i in range(m))
-            yield orient(g, bits)
-
-    return generate()
+    return (orient(g, bits) for bits in itertools.product((0, 1), repeat=m))
 
 
 #: byte -> its top bit, the bit getrandbits(1) takes from a 32-bit word

@@ -218,6 +218,10 @@ def fixture_h49() -> AxialFixture:
     return load_fixture(fixture_file_bytes("h49.digraph").decode())
 
 
+#: the fixture loaders by the names the CLI and the verify-paper report use
+FIXTURES = {"H4": fixture_h4, "H49": fixture_h49}
+
+
 def axial_to_grid(a: int, b: int) -> tuple[int, int]:
     """Base change from axial lattice coordinates to hexagonal-grid (i, j).
 

@@ -114,8 +114,6 @@ def homomorphism_exists(
     k = t.order
     if k > MAX_SEARCH_ORDER:
         raise ValueError(f"target order {k} exceeds the search limit {MAX_SEARCH_ORDER}")
-    if g.n_vertices and k == 0:
-        return HomResult(False, None, 0, 0)
     deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
     nbrs = g.neighbors
     out_sup, in_sup = t.out_support, t.in_support

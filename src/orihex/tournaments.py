@@ -200,9 +200,10 @@ def enumerate_tournaments(k: int) -> tuple[Tournament, ...]:
     for value in range(1 << nbits):
         bits = format(value, f"0{nbits}b") if nbits else ""
         if bits not in seen:
-            seen |= _relabelings(parse_tournament(bits, k))
-            classes.append(bits)
-    return tuple(parse_tournament(bits, k) for bits in classes)
+            t = parse_tournament(bits, k)
+            seen |= _relabelings(t)
+            classes.append(t)
+    return tuple(classes)
 
 
 def double_score_set(t: Tournament) -> tuple[int, ...]:

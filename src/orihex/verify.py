@@ -13,10 +13,12 @@ orientations of a larger grid (the universal claim is property-tested,
 not proved, by this pipeline).
 
 ``verify_paper`` runs one table of ``(name, mandatory, inputs, fn)``
-checks in order, ``fn()`` returning ``(verdict, details)``; its one loop
-times each ``fn()`` whole (the record's ``elapsed_s``) and records it.
-The two summaries read the records made before them. The overall verdict
-is PASS exactly when all mandatory checks pass.
+checks in order, ``fn()`` returning ``(ok, details)``; its one loop times
+each ``fn()`` whole (the record's ``elapsed_s``) and applies the one
+verdict rule: a mandatory check is PASS when ok and FAIL otherwise, and
+any other check is INFO whatever its ok. The two summaries read the
+records made before them. The overall verdict is PASS exactly when all
+mandatory checks pass.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 from . import __version__
@@ -33,6 +35,7 @@ from .hexcolor import check_property1, color_hex
 from .hexgrid import (
     FIXTURE_COUNTS,
     FIXTURE_DIGESTS,
+    FIXTURES,
     build_hex_grid,
     fixture_digest,
     fixture_h4,
@@ -62,8 +65,6 @@ SCALES = {"small": (5, 5, 200), "full": (8, 8, 1000)}
 
 T5_CODES = [1, 2, 3, 8, 9, 11, 14, 17, 19, 20]
 
-_FIXTURES = {"H4": fixture_h4, "H49": fixture_h49}
-
 #: 1-based arc list of the 18-vertex fixture, pinned independently of the
 #: packaged data file.
 H4_EXPECTED_ARCS = (
@@ -83,14 +84,7 @@ class CheckRecord:
     elapsed_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "mandatory": self.mandatory,
-            "verdict": self.verdict,
-            "inputs": self.inputs,
-            "details": self.details,
-            "elapsed_s": round(self.elapsed_s, 4),
-        }
+        return {**asdict(self), "elapsed_s": round(self.elapsed_s, 4)}
 
 
 @dataclass
@@ -132,7 +126,7 @@ def _census_check():
         and len(set(named_canon.values())) == 12
         and set(named_canon.values()) == census_canon
     )
-    return "PASS" if ok else "FAIL", {
+    return ok, {
         "classes": len(census),
         "named_forms_distinct": len(set(named_canon.values())) == 12,
         "named_forms_cover_census": set(named_canon.values()) == census_canon,
@@ -144,7 +138,7 @@ def _double_score_check():
     multiset_distinct = len(set(ds.values())) == 12
     as_sets = {name: tuple(sorted(set(v))) for name, v in ds.items()}
     set_distinct = len(set(as_sets.values())) == 12
-    return "PASS" if multiset_distinct else "FAIL", {
+    return multiset_distinct, {
         "values": {name: list(v) for name, v in ds.items()},
         "pairwise_distinct_multisets": multiset_distinct,
         "pairwise_distinct_dedup_sets": set_distinct,
@@ -153,7 +147,7 @@ def _double_score_check():
 
 def _t5_codes_check():
     codes = arc_codes(named_tournament("T5"))
-    return "PASS" if codes == T5_CODES else "FAIL", {"codes": codes, "expected": T5_CODES}
+    return codes == T5_CODES, {"codes": codes, "expected": T5_CODES}
 
 
 def _a6_degree_check():
@@ -164,7 +158,7 @@ def _a6_degree_check():
         and min(a6.in_degrees) == 2
         and min(a6.out_degrees) == 2
     )
-    return "PASS" if ok else "FAIL", {
+    return ok, {
         "order": a6.order,
         "arcs": len(a6.arcs),
         "min_in_degree": min(a6.in_degrees),
@@ -175,7 +169,7 @@ def _a6_degree_check():
 def _a6_path_property_check():
     with_equal = check_property1(fixture_a6(), include_equal_endpoints=True)
     without_equal = check_property1(fixture_a6(), include_equal_endpoints=False)
-    return "PASS" if with_equal.holds else "FAIL", {
+    return with_equal.holds, {
         "holds_including_equal_endpoints": with_equal.holds,
         "cases_including_equal_endpoints": len(with_equal.table),
         "holds_distinct_endpoints_only": without_equal.holds,
@@ -183,7 +177,7 @@ def _a6_path_property_check():
     }
 
 
-def _fixture_check(filename: str, fixture) -> tuple[str, dict]:
+def _fixture_check(filename: str, fixture) -> tuple[bool, dict]:
     digest = fixture_digest(filename)
     digest_ok = digest == FIXTURE_DIGESTS[filename]
     n, m = FIXTURE_COUNTS[filename]
@@ -198,19 +192,16 @@ def _fixture_check(filename: str, fixture) -> tuple[str, dict]:
         "lattice_ok": lattice.ok,
         "lattice_violations": list(lattice.violations),
     }
-    ok = digest_ok and counts_ok and lattice.ok
-    return ("PASS" if ok else "FAIL"), details
+    return digest_ok and counts_ok and lattice.ok, details
 
 
 def _h4_integrity_check():
     fixture = fixture_h4()
-    verdict, details = _fixture_check("h4.digraph", fixture)
+    ok, details = _fixture_check("h4.digraph", fixture)
     arcs_1based = tuple((u + 1, v + 1) for (u, v) in fixture.graph.arcs)
     arcs_ok = arcs_1based == H4_EXPECTED_ARCS
     details["arc_list_ok"] = arcs_ok
-    if not arcs_ok:
-        verdict = "FAIL"
-    return verdict, details
+    return ok and arcs_ok, details
 
 
 def _h49_integrity_check():
@@ -230,8 +221,7 @@ def _color_all(grid, orientations) -> tuple[int, int]:
 def _upper_bound_exhaustive():
     grid = build_hex_grid(1, 1)
     total, failures = _color_all(grid, enumerate_orientations(grid.graph))
-    ok = failures == 0 and total == 64
-    return "PASS" if ok else "FAIL", {"orientations": total, "failures": failures}
+    return failures == 0 and total == 64, {"orientations": total, "failures": failures}
 
 
 def _upper_bound_sampled(seed: int, scale: str):
@@ -249,14 +239,13 @@ def _upper_bound_sampled(seed: int, scale: str):
     }
     if ok:
         details["summary"] = "upper_bound: all sampled orientations 6-colorable"
-    return "PASS" if ok else "FAIL", details
+    return ok, details
 
 
-def _search_check(fixture: str, target: str, gating: bool) -> tuple[str, dict]:
-    """Solve fixture-vs-tournament under the solver budget. A gating search
-    passes iff it proves there is no homomorphism; any other search is
-    reported for information."""
-    graph, t = _FIXTURES[fixture]().graph, named_tournament(target)
+def _search_check(fixture: str, target: str) -> tuple[bool, dict]:
+    """Solve fixture-vs-tournament under the solver budget; ok iff the
+    search proves there is no homomorphism."""
+    graph, t = FIXTURES[fixture]().graph, named_tournament(target)
     details = {"fixture": fixture, "target": target}
     start = time.perf_counter()
     try:
@@ -273,22 +262,20 @@ def _search_check(fixture: str, target: str, gating: bool) -> tuple[str, dict]:
             max_depth=result.max_depth,
         )
     details["elapsed_s"] = time.perf_counter() - start
-    if not gating:
-        return "INFO", details
-    return ("PASS" if details["verdict"] == "NONE" else "FAIL"), details
+    return details["verdict"] == "NONE", details
 
 
-def _searches(prefix: str, gating: bool, pairs) -> list[tuple]:
+def _searches(prefix: str, mandatory: bool, pairs) -> list[tuple]:
     return [
-        (f"{prefix}_{f.lower()}_{t.lower()}", gating, {"fixture": f, "target": t},
-         partial(_search_check, f, t, gating))
+        (f"{prefix}_{f.lower()}_{t.lower()}", mandatory, {"fixture": f, "target": t},
+         partial(_search_check, f, t))
         for f, t in pairs
     ]
 
 
-def _lower_bound_combined(report: VerificationReport) -> tuple[str, dict]:
+def _lower_bound_combined(report: VerificationReport) -> tuple[bool, dict]:
     ok = all(c.verdict == "PASS" for c in report.checks if c.name.startswith("lower_bound_"))
-    return ("PASS" if ok else "FAIL"), {
+    return ok, {
         "summary": "lower_bound: no 5-tournament colors both H4 and H49"
         if ok else "lower_bound: refuted by a homomorphism",
         "conclusion": "every 5-coloring target is excluded by one of the two "
@@ -298,10 +285,10 @@ def _lower_bound_combined(report: VerificationReport) -> tuple[str, dict]:
     }
 
 
-def _h4_colorable(report: VerificationReport) -> tuple[str, dict]:
+def _h4_colorable(report: VerificationReport) -> tuple[bool, dict]:
     found = [c.details["target"] for c in report.checks
              if c.name.startswith("derived_hom_h4_") and c.details["verdict"] == "FOUND"]
-    return "INFO", {"colorable_by": found, "colorable_with_some_5_tournament": bool(found)}
+    return bool(found), {"colorable_by": found, "colorable_with_some_5_tournament": bool(found)}
 
 
 def verify_paper(seed: int = 0, scale: str = "small") -> VerificationReport:
@@ -335,7 +322,8 @@ def verify_paper(seed: int = 0, scale: str = "small") -> VerificationReport:
     ]
     for name, mandatory, inputs, fn in checks:
         start = time.perf_counter()
-        verdict, details = fn()
+        ok, details = fn()
+        verdict = ("PASS" if ok else "FAIL") if mandatory else "INFO"
         report.checks.append(
             CheckRecord(name, mandatory, verdict, inputs, details, time.perf_counter() - start)
         )

@@ -66,3 +66,27 @@ def test_gating_search_found_fails(monkeypatch):
     assert combined.verdict == "FAIL"
     assert combined.details["summary"] == "lower_bound: refuted by a homomorphism"
     assert report.overall == "FAIL"
+
+
+def test_tampered_fixture_digest_fails(monkeypatch):
+    monkeypatch.setattr(verify, "fixture_digest", lambda name: "0" * 64)
+    ok, details = verify._h49_integrity_check()
+    assert ok is False
+    assert details["digest_ok"] is False
+
+
+def test_seed_only_affects_sampled_records():
+    ok0, d0 = verify._upper_bound_sampled(seed=0, scale="small")
+    ok1, d1 = verify._upper_bound_sampled(seed=1, scale="small")
+    assert ok0 is ok1 is True
+    assert d0["first_trial_seeds"] != d1["first_trial_seeds"]
+    # the exact checks consume no seed at all
+    for fn in (
+        verify._census_check,
+        verify._double_score_check,
+        verify._t5_codes_check,
+        verify._a6_degree_check,
+        verify._a6_path_property_check,
+    ):
+        ok, _ = fn()
+        assert ok is True
