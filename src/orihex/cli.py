@@ -33,7 +33,7 @@ from .digraph import (
     serialize_digraph,
 )
 from .hexcolor import check_property1, color_hex
-from .hexgrid import FIXTURES, build_hex_grid
+from .hexgrid import FIXTURES, build_hex_grid, named_fixture
 from .homomorphism import (
     SearchBudgetExceeded,
     brute_force_hom,
@@ -47,13 +47,13 @@ from .tournaments import (
     enumerate_tournaments,
     resolve_tournament,
 )
-from .verify import render_text, verify_paper
+from .verify import SCALES, render_text, verify_paper
 
 
 def _load_graph(name_or_path: str) -> OrientedGraph:
     """Resolve a graph argument: the fixture names H4/H49, or a file path."""
     if name_or_path in FIXTURES:
-        return FIXTURES[name_or_path]().graph
+        return named_fixture(name_or_path).graph
     path = Path(name_or_path)
     if not path.is_file():
         raise ValueError(f"no such graph file: {name_or_path}")
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify-paper", help="run the full verification pipeline")
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--scale", choices=["small", "full"], default="small")
+    vp.add_argument("--scale", choices=list(SCALES), default="small")
     vp.add_argument("--json", action="store_true")
     vp.add_argument("--out", help="also write the JSON report to this path")
     vp.set_defaults(fn=_cmd_verify_paper)

@@ -112,20 +112,6 @@ class OrientedGraph:
         return frozenset(self.arcs)
 
     @cached_property
-    def out_degrees(self) -> tuple[int, ...]:
-        d = [0] * self.n_vertices
-        for (u, _) in self.arcs:
-            d[u] += 1
-        return tuple(d)
-
-    @cached_property
-    def in_degrees(self) -> tuple[int, ...]:
-        d = [0] * self.n_vertices
-        for (_, v) in self.arcs:
-            d[v] += 1
-        return tuple(d)
-
-    @cached_property
     def neighbors(self) -> tuple[tuple[tuple[int, bool], ...], ...]:
         """Per vertex: (other endpoint, True if the arc leaves this vertex)."""
         nbrs = [[] for _ in range(self.n_vertices)]

@@ -3,9 +3,9 @@
 The target tournament must satisfy the three-step path property: between
 any two (not necessarily distinct) vertices u, v there is a walk
 u, x, y, v whose three steps follow any prescribed direction pattern,
-with consecutive vertices distinct. The witness table built by
-check_property1 then lets a single sweep color an arbitrary orientation
-of a hexagonal grid row by row:
+with consecutive vertices distinct. The witness table path_table builds
+once per target, by check_property1, then lets a single sweep color an
+arbitrary orientation of a hexagonal grid row by row:
 
   * the first row is a path, colored greedily left to right;
   * each later row starts with one greedy choice against the vertex
@@ -88,11 +88,18 @@ def check_property1(t: Tournament, include_equal_endpoints: bool = True) -> Prop
 
 
 @cache
-def a6_path_table() -> PathTable:
-    """Witness table of the packaged order-6 target (equal endpoints included)."""
-    check = check_property1(fixture_a6(), include_equal_endpoints=True)
-    assert check.holds
+def path_table(t: Tournament) -> PathTable:
+    """color_hex's witness table for target t, equal endpoints included;
+    ValueError when t lacks the three-step path property."""
+    check = check_property1(t, include_equal_endpoints=True)
+    if not check.holds:
+        raise ValueError("target lacks the three-step path property")
     return check.table
+
+
+def a6_path_table() -> PathTable:
+    """Witness table of the packaged order-6 target."""
+    return path_table(fixture_a6())
 
 
 def color_hex(
@@ -104,19 +111,14 @@ def color_hex(
     """Color an orientation of the grid by a homomorphism into the target.
 
     The orientation must assign one direction to each grid edge. The table
-    must come from check_property1(target, include_equal_endpoints=True);
-    by default the packaged order-6 target and its table are used. The
-    result is deterministic and always a valid homomorphism.
+    must be path_table(target), its default; the target defaults to the
+    packaged order-6 one. The result is deterministic and always a valid
+    homomorphism.
     """
     if target is None:
         target = fixture_a6()
-        if table is None:
-            table = a6_path_table()
-    elif table is None:
-        check = check_property1(target, include_equal_endpoints=True)
-        if not check.holds:
-            raise ValueError("target lacks the three-step path property")
-        table = check.table
+    if table is None:
+        table = path_table(target)
     if min(target.out_degrees) < 1 or min(target.in_degrees) < 1:
         raise ValueError("target must have minimum in- and out-degree >= 1")
     grid.check_orientation(orientation)

@@ -1,5 +1,5 @@
-"""Hexagonal grids and the two packaged counterexample fixtures with
-their lattice-membership validator.
+"""Hexagonal grids and the two packaged counterexample fixtures, one
+FIXTURES row each, with their lattice-membership validator.
 
 The hexagonal grid with m rows of n hexagons lives inside the square grid
 with m+1 rows and 2n+m columns: row i keeps the columns j with
@@ -20,25 +20,24 @@ lattice bipartite with maximum degree 3.
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
 from typing import Iterable
 
-from .digraph import OrientedGraph, UndirectedGraph, parse_graph_file
+from .digraph import OrientedGraph, UndirectedGraph, parse_graph_file, random_orientation
 
 _CLASS2_OFFSETS = frozenset({(0, 1), (1, -1), (-1, 0)})
 _CLASS1_OFFSETS = frozenset({(0, -1), (-1, 1), (1, 0)})
 
-#: sha256 digests of the packaged fixture files, pinned at transcription time.
-FIXTURE_DIGESTS = {
-    "h4.digraph": "6820be00b29067a14d073a8d1b5c307223991fa5740f5a6ab9776e7b7fad4e17",
-    "h49.digraph": "1d57d99f8f5e347e866795409efee246c7f916bd7dba6ccc73815e78333b566f",
+#: the packaged fixtures by CLI and report name: (data file, sha256 digest,
+#: vertex count, arc count), the last three pinned at transcription time
+FIXTURES = {
+    "H4": ("h4.digraph",
+           "6820be00b29067a14d073a8d1b5c307223991fa5740f5a6ab9776e7b7fad4e17", 18, 21),
+    "H49": ("h49.digraph",
+            "1d57d99f8f5e347e866795409efee246c7f916bd7dba6ccc73815e78333b566f", 126, 174),
 }
-
-#: vertex/arc counts pinned at transcription time.
-FIXTURE_COUNTS = {"h4.digraph": (18, 21), "h49.digraph": (126, 174)}
 
 
 @dataclass(frozen=True)
@@ -180,10 +179,9 @@ def validate_axial_fixture(fixture: AxialFixture) -> LatticeCheck:
                 f"arc {u + 1} -> {v + 1} joins non-neighbor lattice points "
                 f"{coords[u]} and {coords[v]}"
             )
-    for v in range(fixture.graph.n_vertices):
-        deg = fixture.graph.out_degrees[v] + fixture.graph.in_degrees[v]
-        if deg > 3:
-            violations.append(f"vertex {v + 1} has degree {deg} > 3")
+    for v, nbrs in enumerate(fixture.graph.neighbors):
+        if len(nbrs) > 3:
+            violations.append(f"vertex {v + 1} has degree {len(nbrs)} > 3")
     return LatticeCheck(not violations, tuple(violations))
 
 
@@ -197,7 +195,8 @@ def load_fixture(text: str) -> AxialFixture:
 
 
 def fixture_file_bytes(name: str) -> bytes:
-    return resources.files("orihex.data").joinpath(name).read_bytes()
+    """The packaged data file of the fixture with this FIXTURES name."""
+    return resources.files("orihex.data").joinpath(FIXTURES[name][0]).read_bytes()
 
 
 def fixture_digest(name: str) -> str:
@@ -205,21 +204,21 @@ def fixture_digest(name: str) -> str:
 
 
 @cache
+def named_fixture(name: str) -> AxialFixture:
+    """The fixture with this FIXTURES name, parsed once per process."""
+    return load_fixture(fixture_file_bytes(name).decode())
+
+
 def fixture_h4() -> AxialFixture:
     """18-vertex, 21-arc orientation of a lattice patch: one hexagon with an
     oriented 3-path grafted onto every other hexagon vertex."""
-    return load_fixture(fixture_file_bytes("h4.digraph").decode())
+    return named_fixture("H4")
 
 
-@cache
 def fixture_h49() -> AxialFixture:
     """126-vertex, 174-arc orientation of a lattice patch, transcribed
     vertex-by-vertex and arc-by-arc, with coordinates retained."""
-    return load_fixture(fixture_file_bytes("h49.digraph").decode())
-
-
-#: the fixture loaders by the names the CLI and the verify-paper report use
-FIXTURES = {"H4": fixture_h4, "H49": fixture_h49}
+    return named_fixture("H49")
 
 
 def axial_to_grid(a: int, b: int) -> tuple[int, int]:
@@ -252,8 +251,8 @@ def place_fixture(fixture: AxialFixture, grid: HexGrid) -> tuple[int, ...] | Non
 def orientation_extending(
     grid: HexGrid, forced_arcs: Iterable[tuple[int, int]], seed: int = 0
 ) -> OrientedGraph:
-    """Orientation of the grid agreeing with the forced arcs; remaining
-    edges get seed-deterministic directions."""
+    """Orientation of the grid agreeing with the forced arcs; every other
+    edge is directed as random_orientation(grid.graph, seed) directs it."""
     forced = {}
     for (u, v) in forced_arcs:
         key = (u, v) if u < v else (v, u)
@@ -266,11 +265,6 @@ def orientation_extending(
     unknown = [key for key in forced if key not in key_set]
     if unknown:
         raise ValueError(f"forced arcs not on grid edges: {unknown}")
-    rng = random.Random(seed)
-    arcs = []
-    for (u, v), key in zip(grid.graph.edges, keys):
-        if key in forced:
-            arcs.append(forced[key])
-        else:
-            arcs.append((u, v) if rng.getrandbits(1) else (v, u))
-    return OrientedGraph(grid.graph.n_vertices, tuple(arcs))
+    # each edge takes its forced arc, else the arc random_orientation drew
+    drawn = random_orientation(grid.graph, seed).arcs
+    return OrientedGraph(grid.graph.n_vertices, tuple(map(forced.get, keys, drawn)))

@@ -268,7 +268,9 @@ def colorable_with_order(g: OrientedGraph, k: int) -> bool:
 
 def chi_o(g: OrientedGraph, k_max: int = 5) -> int | None:
     """Least k <= k_max such that g has an oriented k-coloring, else None;
-    ValueError if the search passes the census cap, MAX_CENSUS_ORDER."""
+    ValueError if k_max < 1 or the search passes MAX_CENSUS_ORDER."""
+    if k_max < 1:
+        raise ValueError(f"k_max must be at least 1, got {k_max}")
     for k in range(1, k_max + 1):
         if colorable_with_order(g, k):
             return k

@@ -33,13 +33,10 @@ from . import __version__
 from .digraph import enumerate_orientations, random_orientation
 from .hexcolor import check_property1, color_hex
 from .hexgrid import (
-    FIXTURE_COUNTS,
-    FIXTURE_DIGESTS,
     FIXTURES,
     build_hex_grid,
     fixture_digest,
-    fixture_h4,
-    fixture_h49,
+    named_fixture,
     validate_axial_fixture,
 )
 from .homomorphism import (
@@ -152,18 +149,13 @@ def _t5_codes_check():
 
 def _a6_degree_check():
     a6 = fixture_a6()
-    ok = (
-        a6.order == 6
-        and len(a6.arcs) == 15
-        and min(a6.in_degrees) == 2
-        and min(a6.out_degrees) == 2
-    )
-    return ok, {
+    details = {
         "order": a6.order,
         "arcs": len(a6.arcs),
         "min_in_degree": min(a6.in_degrees),
         "min_out_degree": min(a6.out_degrees),
     }
+    return details == {"order": 6, "arcs": 15, "min_in_degree": 2, "min_out_degree": 2}, details
 
 
 def _a6_path_property_check():
@@ -177,10 +169,11 @@ def _a6_path_property_check():
     }
 
 
-def _fixture_check(filename: str, fixture) -> tuple[bool, dict]:
-    digest = fixture_digest(filename)
-    digest_ok = digest == FIXTURE_DIGESTS[filename]
-    n, m = FIXTURE_COUNTS[filename]
+def _fixture_check(name: str) -> tuple[bool, dict]:
+    """Check the named fixture against its FIXTURES row and the lattice."""
+    _, sha256, n, m = FIXTURES[name]
+    fixture, digest = named_fixture(name), fixture_digest(name)
+    digest_ok = digest == sha256
     counts_ok = fixture.graph.n_vertices == n and len(fixture.graph.arcs) == m
     lattice = validate_axial_fixture(fixture)
     details = {
@@ -196,16 +189,10 @@ def _fixture_check(filename: str, fixture) -> tuple[bool, dict]:
 
 
 def _h4_integrity_check():
-    fixture = fixture_h4()
-    ok, details = _fixture_check("h4.digraph", fixture)
-    arcs_1based = tuple((u + 1, v + 1) for (u, v) in fixture.graph.arcs)
-    arcs_ok = arcs_1based == H4_EXPECTED_ARCS
-    details["arc_list_ok"] = arcs_ok
-    return ok and arcs_ok, details
-
-
-def _h49_integrity_check():
-    return _fixture_check("h49.digraph", fixture_h49())
+    ok, details = _fixture_check("H4")
+    arcs_1based = tuple((u + 1, v + 1) for (u, v) in named_fixture("H4").graph.arcs)
+    details["arc_list_ok"] = arcs_1based == H4_EXPECTED_ARCS
+    return ok and details["arc_list_ok"], details
 
 
 def _color_all(grid, orientations) -> tuple[int, int]:
@@ -245,7 +232,7 @@ def _upper_bound_sampled(seed: int, scale: str):
 def _search_check(fixture: str, target: str) -> tuple[bool, dict]:
     """Solve fixture-vs-tournament under the solver budget; ok iff the
     search proves there is no homomorphism."""
-    graph, t = FIXTURES[fixture]().graph, named_tournament(target)
+    graph, t = named_fixture(fixture).graph, named_tournament(target)
     details = {"fixture": fixture, "target": target}
     start = time.perf_counter()
     try:
@@ -313,7 +300,7 @@ def verify_paper(seed: int = 0, scale: str = "small") -> VerificationReport:
         ("derived_h4_colorable_order5", False, {"fixture": "H4"},
          partial(_h4_colorable, report)),
         ("fixture_h4_integrity", True, {"fixture": "H4"}, _h4_integrity_check),
-        ("fixture_h49_integrity", True, {"fixture": "H49"}, _h49_integrity_check),
+        ("fixture_h49_integrity", True, {"fixture": "H49"}, partial(_fixture_check, "H49")),
         ("upper_bound_exhaustive_h11", True, {"grid": "H_1,1", "orientations": 64},
          _upper_bound_exhaustive),
         ("upper_bound_sampled", True,

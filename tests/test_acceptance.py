@@ -12,12 +12,12 @@ import pytest
 from orihex.digraph import OrientedGraph, enumerate_orientations, random_orientation
 from orihex.hexcolor import a6_path_table, check_property1, color_hex
 from orihex.hexgrid import (
-    FIXTURE_COUNTS,
-    FIXTURE_DIGESTS,
+    FIXTURES,
     build_hex_grid,
     fixture_digest,
     fixture_h4,
     fixture_h49,
+    named_fixture,
     validate_axial_fixture,
 )
 from orihex.homomorphism import (
@@ -198,12 +198,13 @@ def test_criterion_11_fixture_integrity():
     h4 = fixture_h4()
     h49 = fixture_h49()
     arcs_ok = tuple((u + 1, v + 1) for (u, v) in h4.graph.arcs) == H4_EXPECTED_ARCS
-    counts_ok = (
-        (h4.graph.n_vertices, len(h4.graph.arcs)) == FIXTURE_COUNTS["h4.digraph"]
-        and (h49.graph.n_vertices, len(h49.graph.arcs)) == FIXTURE_COUNTS["h49.digraph"]
+    graphs = {name: named_fixture(name).graph for name in FIXTURES}
+    counts_ok = set(FIXTURES) == {"H4", "H49"} and all(
+        (graphs[name].n_vertices, len(graphs[name].arcs)) == (n, m)
+        for name, (_, _, n, m) in FIXTURES.items()
     )
     digests_ok = all(
-        fixture_digest(name) == FIXTURE_DIGESTS[name] for name in FIXTURE_DIGESTS
+        fixture_digest(name) == sha256 for name, (_, sha256, _, _) in FIXTURES.items()
     )
     lattice_ok = validate_axial_fixture(h4).ok and validate_axial_fixture(h49).ok
     ok = arcs_ok and counts_ok and digests_ok and lattice_ok

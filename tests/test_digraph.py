@@ -44,12 +44,10 @@ def test_parse_preserves_arc_order():
 
 
 def test_parse_packaged_h4_degree_bound():
-    g = parse_digraph(fixture_file_bytes("h4.digraph").decode())
+    g = parse_digraph(fixture_file_bytes("H4").decode())
     assert g.n_vertices == 18
     assert len(g.arcs) == 21
-    assert all(
-        g.out_degrees[v] + g.in_degrees[v] <= 3 for v in range(g.n_vertices)
-    )
+    assert all(len(g.neighbors[v]) <= 3 for v in range(g.n_vertices))
 
 
 @pytest.mark.parametrize(
@@ -120,8 +118,9 @@ def test_orient_path_codes():
 def test_orient_hexagon_alternating():
     g = orient(cycle(6), "101010")
     assert len(g.arcs) == 6
-    assert all(d in (0, 1, 2) for d in g.out_degrees)
-    assert sum(g.out_degrees) == 6
+    out_degrees = [sum(leaves for _, leaves in nbrs) for nbrs in g.neighbors]
+    assert all(d in (0, 1, 2) for d in out_degrees)
+    assert sum(out_degrees) == 6
 
 
 def test_orient_length_mismatch():
@@ -157,7 +156,7 @@ def test_enumerate_hexagon_count_distinct():
 def test_enumerate_triangle_directed_cycles():
     count = 0
     for g in enumerate_orientations(cycle(3)):
-        if all(d == 1 for d in g.out_degrees):
+        if all(sum(leaves for _, leaves in nbrs) == 1 for nbrs in g.neighbors):
             count += 1
     assert count == 2
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from orihex import hexcolor
 from orihex.digraph import (
     OrientedGraph,
     UndirectedGraph,
@@ -13,6 +14,7 @@ from orihex.hexcolor import (
     a6_path_table,
     check_property1,
     color_hex,
+    path_table,
 )
 from orihex.hexgrid import (
     HexGrid,
@@ -26,6 +28,7 @@ from orihex.tournaments import (
     Tournament,
     enumerate_tournaments,
     fixture_a6,
+    named_tournament,
     parse_tournament,
 )
 
@@ -212,6 +215,36 @@ def test_color_hex_rejects_unsuitable_target():
     oriented = random_orientation(grid.graph, 5)
     with pytest.raises(ValueError):
         color_hex(grid, oriented, parse_tournament("0000000000", 5))
+
+
+def test_a6_path_table_is_the_cached_path_table():
+    assert path_table(fixture_a6()) is a6_path_table()
+
+
+def test_path_table_rejects_target_without_path_property():
+    with pytest.raises(ValueError, match=r"^target lacks the three-step path property$"):
+        path_table(named_tournament("T1"))
+
+
+def test_color_hex_builds_a_passed_target_table_once(monkeypatch):
+    """A relabeled A6 (the only order-6 class with the path property) is
+    not the packaged target: color_hex builds its table through
+    path_table, once for every call."""
+    t = parse_tournament("000110100001100", 6)
+    assert t != A6
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_property1(*args, **kwargs)
+
+    monkeypatch.setattr(hexcolor, "check_property1", counted)
+    path_table.cache_clear()
+    grid = build_hex_grid(3, 3)
+    for seed in range(3):
+        oriented = random_orientation(grid.graph, seed)
+        assert validate_homomorphism(oriented, t, color_hex(grid, oriented, target=t))
+    assert len(calls) == 1
 
 
 def test_color_hex_accepts_edges_listed_high_to_low():

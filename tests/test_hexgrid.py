@@ -3,7 +3,7 @@ from collections import deque
 
 import pytest
 
-from orihex.digraph import OrientedGraph, UndirectedGraph
+from orihex.digraph import OrientedGraph, UndirectedGraph, random_orientation
 from orihex.hexgrid import (
     AxialFixture,
     HexGrid,
@@ -117,8 +117,8 @@ def test_hex_grid_embeds_in_square_grid():
 
 
 def test_fixture_digests_pinned():
-    assert hashlib.sha256(fixture_file_bytes("h4.digraph")).hexdigest() == H4_SHA256
-    assert hashlib.sha256(fixture_file_bytes("h49.digraph")).hexdigest() == H49_SHA256
+    assert hashlib.sha256(fixture_file_bytes("H4")).hexdigest() == H4_SHA256
+    assert hashlib.sha256(fixture_file_bytes("H49")).hexdigest() == H49_SHA256
 
 
 def test_h4_exact_arc_list():
@@ -143,7 +143,7 @@ def test_h4_first_six_vertices_form_hexagon():
 
 def test_h4_degree_bound():
     g = fixture_h4().graph
-    assert all(g.out_degrees[v] + g.in_degrees[v] <= 3 for v in range(18))
+    assert all(len(g.neighbors[v]) <= 3 for v in range(18))
 
 
 def test_h49_counts_and_structure():
@@ -236,6 +236,17 @@ def test_orientation_extending():
         orientation_extending(grid, [forced[0], (forced[0][1], forced[0][0])])
     with pytest.raises(ValueError):
         orientation_extending(grid, [(0, grid.graph.n_vertices - 1)])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_orientation_extending_draws_free_edges_as_random_orientation(seed):
+    grid = build_hex_grid(3, 3)
+    u, v = grid.graph.edges[0]
+    drawn = random_orientation(grid.graph, seed).arcs
+    for forced in ((u, v), (v, u)):
+        arcs = orientation_extending(grid, [forced], seed).arcs
+        assert arcs[0] == forced
+        assert arcs[1:] == drawn[1:]
 
 
 def test_orientation_extending_edges_listed_high_to_low():

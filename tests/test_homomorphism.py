@@ -180,6 +180,12 @@ def test_chi_o_sentinel():
     assert chi_o(OrientedGraph(2, ((0, 1),)), k_max=1) is None
 
 
+@pytest.mark.parametrize("k_max", [0, -1])
+def test_chi_o_rejects_bound_below_one(k_max):
+    with pytest.raises(ValueError, match=rf"^k_max must be at least 1, got {k_max}$"):
+        chi_o(OrientedGraph(2, ((0, 1),)), k_max=k_max)
+
+
 def test_time_budget_enforced():
     # an instance the static-order search does not settle within seconds
     g = random_orientation(build_hex_grid(10, 10).graph, 1)

@@ -70,7 +70,7 @@ def test_gating_search_found_fails(monkeypatch):
 
 def test_tampered_fixture_digest_fails(monkeypatch):
     monkeypatch.setattr(verify, "fixture_digest", lambda name: "0" * 64)
-    ok, details = verify._h49_integrity_check()
+    ok, details = verify._fixture_check("H49")
     assert ok is False
     assert details["digest_ok"] is False
 
