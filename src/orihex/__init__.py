@@ -37,7 +37,6 @@ from .homomorphism import (
     HomResult,
     brute_force_hom,
     chi_o,
-    colorable_with_order,
     homomorphism_exists,
     validate_homomorphism,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "HomResult",
     "brute_force_hom",
     "chi_o",
-    "colorable_with_order",
     "homomorphism_exists",
     "validate_homomorphism",
     "export_opl_data",

@@ -4,7 +4,8 @@ Exit codes: 0 success (or verification PASS / homomorphism found),
 1 verification failure (or no homomorphism / property fails),
 2 usage or input errors (argparse's, and every ValueError or OSError a
 command raises, printed as one "error: ..." line), 3 undecided: a search
-ran out of its time budget, of stack or of memory.
+(verify-paper's too, which then prints no report) ran out of its time
+budget, of stack or of memory.
 
 Examples:
   orihex tourn list -k 5
@@ -39,6 +40,7 @@ from .homomorphism import (
     brute_force_hom,
     chi_o,
     homomorphism_exists,
+    search_record,
 )
 from .opl import export_opl_data, export_opl_model
 from .tournaments import (
@@ -108,12 +110,7 @@ def _cmd_hom_check(args) -> int:
     t = resolve_tournament(args.tournament)
     result = brute_force_hom(g, t) if args.brute else homomorphism_exists(g, t)
     if args.json:
-        print(json.dumps({
-            "verdict": "FOUND" if result.found else "NONE",
-            "witness": list(result.witness) if result.found else None,
-            "nodes_expanded": result.nodes_expanded,
-            "max_depth": result.max_depth,
-        }))
+        print(json.dumps(search_record(g, t, result)))
     elif result.found:
         print("FOUND " + " ".join(str(c) for c in result.witness))
     else:

@@ -51,9 +51,6 @@ class Prop1Check:
     table: PathTable
     missing: tuple[tuple[int, int, OrientationPattern], ...]
 
-    def __bool__(self) -> bool:
-        return self.holds
-
 
 def check_property1(t: Tournament, include_equal_endpoints: bool = True) -> Prop1Check:
     """Search, for every ordered endpoint pair and every 3-bit direction

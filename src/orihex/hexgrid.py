@@ -149,9 +149,6 @@ class LatticeCheck:
     ok: bool
     violations: tuple[str, ...]
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 def _lattice_class(a: int, b: int) -> int:
     return (a - b) % 3

@@ -34,9 +34,6 @@ class HomResult:
     nodes_expanded: int
     max_depth: int
 
-    def __bool__(self) -> bool:
-        return self.found
-
 
 def validate_homomorphism(g: OrientedGraph, t: Tournament, phi: Sequence[int]) -> bool:
     """True iff phi maps every arc of g onto an arc of t.
@@ -51,6 +48,18 @@ def validate_homomorphism(g: OrientedGraph, t: Tournament, phi: Sequence[int]) -
             raise ValueError(f"color {c} outside 0..{t.order - 1}")
     out = t.out_masks
     return all(out[phi[u]] >> phi[v] & 1 for (u, v) in g.arcs)
+
+
+def search_record(g: OrientedGraph, t: Tournament, result: HomResult) -> dict:
+    """The JSON record of a search outcome, for `hom check --json` and the
+    verify-paper report; `witness` and `witness_valid` are None for NONE."""
+    return {
+        "verdict": "FOUND" if result.found else "NONE",
+        "witness": list(result.witness) if result.found else None,
+        "witness_valid": validate_homomorphism(g, t, result.witness) if result.found else None,
+        "nodes_expanded": result.nodes_expanded,
+        "max_depth": result.max_depth,
+    }
 
 
 #: the largest target order searched: each support table holds 2^order entries
@@ -261,17 +270,12 @@ def brute_force_hom(g: OrientedGraph, t: Tournament) -> HomResult:
     return HomResult(True, tuple(witness), nodes, len(steps))
 
 
-def colorable_with_order(g: OrientedGraph, k: int) -> bool:
-    """True iff g maps homomorphically into some k-tournament."""
-    return any(homomorphism_exists(g, t).found for t in enumerate_tournaments(k))
-
-
 def chi_o(g: OrientedGraph, k_max: int = 5) -> int | None:
     """Least k <= k_max such that g has an oriented k-coloring, else None;
     ValueError if k_max < 1 or the search passes MAX_CENSUS_ORDER."""
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     for k in range(1, k_max + 1):
-        if colorable_with_order(g, k):
+        if any(homomorphism_exists(g, t).found for t in enumerate_tournaments(k)):
             return k
     return None

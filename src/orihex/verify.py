@@ -18,7 +18,8 @@ each ``fn()`` whole (the record's ``elapsed_s``) and applies the one
 verdict rule: a mandatory check is PASS when ok and FAIL otherwise, and
 any other check is INFO whatever its ok. The two summaries read the
 records made before them. The overall verdict is PASS exactly when all
-mandatory checks pass.
+mandatory checks pass. A search past its budget raises SearchBudgetExceeded
+out of ``verify_paper``: no verdict is reached and no report is made.
 """
 
 from __future__ import annotations
@@ -39,11 +40,7 @@ from .hexgrid import (
     named_fixture,
     validate_axial_fixture,
 )
-from .homomorphism import (
-    SearchBudgetExceeded,
-    homomorphism_exists,
-    validate_homomorphism,
-)
+from .homomorphism import homomorphism_exists, search_record, validate_homomorphism
 from .tournaments import (
     TOURNAMENT_BITS,
     arc_codes,
@@ -231,23 +228,12 @@ def _upper_bound_sampled(seed: int, scale: str):
 
 def _search_check(fixture: str, target: str) -> tuple[bool, dict]:
     """Solve fixture-vs-tournament under the solver budget; ok iff the
-    search proves there is no homomorphism."""
+    search proves there is no homomorphism. The details are the pair, its
+    `search_record` and the solve's time; SearchBudgetExceeded propagates."""
     graph, t = named_fixture(fixture).graph, named_tournament(target)
-    details = {"fixture": fixture, "target": target}
     start = time.perf_counter()
-    try:
-        result = homomorphism_exists(graph, t, time_budget_s=SOLVER_BUDGET_S)
-    except SearchBudgetExceeded:
-        details["verdict"] = "BUDGET_EXCEEDED"
-    else:
-        details.update(
-            verdict="FOUND" if result.found else "NONE",
-            witness=list(result.witness) if result.found else None,
-            witness_valid=validate_homomorphism(graph, t, result.witness)
-            if result.found else None,
-            nodes_expanded=result.nodes_expanded,
-            max_depth=result.max_depth,
-        )
+    result = homomorphism_exists(graph, t, time_budget_s=SOLVER_BUDGET_S)
+    details = {"fixture": fixture, "target": target, **search_record(graph, t, result)}
     details["elapsed_s"] = time.perf_counter() - start
     return details["verdict"] == "NONE", details
 

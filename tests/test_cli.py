@@ -58,21 +58,34 @@ def test_hom_check_exit_codes(capsys):
     assert "FOUND" in out
 
 
+HOM_RECORD_KEYS = ["verdict", "witness", "witness_valid", "nodes_expanded", "max_depth"]
+
+
 def test_hom_check_json_and_brute(capsys):
     code, out, _ = run(capsys, "hom", "check", "-g", "H4", "-t", "T5", "--json")
     assert code == 1
     payload = json.loads(out)
+    assert list(payload) == HOM_RECORD_KEYS
     assert payload["verdict"] == "NONE"
     assert payload["witness"] is None
+    assert payload["witness_valid"] is None
     assert payload["nodes_expanded"] > 0
     code, out, _ = run(capsys, "hom", "check", "-g", "H4", "-t", "T5", "--brute", "--json")
     assert code == 1
-    assert json.loads(out)["verdict"] == "NONE"
-    code, out, _ = run(capsys, "hom", "check", "-g", "H4", "-t", "T2", "--brute", "--json")
-    assert code == 0
     payload = json.loads(out)
-    assert payload["verdict"] == "FOUND"
-    assert validate_homomorphism(fixture_h4().graph, named_tournament("T2"), payload["witness"])
+    assert list(payload) == HOM_RECORD_KEYS
+    assert payload["verdict"] == "NONE"
+    assert payload["witness_valid"] is None
+    for extra in ((), ("--brute",)):
+        code, out, _ = run(capsys, "hom", "check", "-g", "H4", "-t", "T2", *extra, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == HOM_RECORD_KEYS
+        assert payload["verdict"] == "FOUND"
+        assert payload["witness_valid"] is True
+        assert validate_homomorphism(
+            fixture_h4().graph, named_tournament("T2"), payload["witness"]
+        )
 
 
 @pytest.mark.parametrize(

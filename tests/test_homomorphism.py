@@ -10,7 +10,6 @@ from orihex.homomorphism import (
     SearchBudgetExceeded,
     brute_force_hom,
     chi_o,
-    colorable_with_order,
     homomorphism_exists,
     validate_homomorphism,
 )
@@ -160,11 +159,6 @@ def test_deterministic_witness():
     g = random_graph(rng, n_max=6)
     t = named_tournament("T11")
     assert homomorphism_exists(g, t) == homomorphism_exists(g, t)
-
-
-def test_colorable_with_order_cycle():
-    assert not colorable_with_order(DIRECTED_C3, 2)
-    assert colorable_with_order(DIRECTED_C3, 3)
 
 
 def test_chi_o_values():
