@@ -3,6 +3,12 @@ shared text file format.
 
 Vertices are 0-based everywhere in memory; the text format is 1-based.
 All types are immutable after construction and safe to share across threads.
+
+Arcs are validated where they come from outside: by the public
+OrientedGraph constructor and so by the parser. orient,
+enumerate_orientations and random_orientation build their graphs through
+_directed, which skips that check: one arc per edge of an already
+validated UndirectedGraph can hold no bad endpoint, loop or repeat.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 MAX_ENUMERATION_EDGES = 24
@@ -44,7 +51,8 @@ def _is_simple(n_vertices: int, pairs: tuple[tuple[int, int], ...]) -> bool:
     """
     if not pairs:
         return True
-    tails, heads = zip(*pairs)
+    tails = tuple(map(itemgetter(0), pairs))
+    heads = tuple(map(itemgetter(1), pairs))
     if min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n_vertices:
         return False
     pair_set = set(pairs)
@@ -82,8 +90,10 @@ class OrientedGraph:
     """Orientation of a simple graph: each edge carries exactly one direction,
     so the arc set is antisymmetric and loop-free.
 
-    The arcs are checked once, in bulk; only a graph that fails is walked
-    arc by arc, to raise ArcError for its first bad arc.
+    The constructor checks the arcs once, in bulk; only a graph that fails
+    is walked arc by arc, to raise ArcError for its first bad arc. The
+    orientations this module derives from an UndirectedGraph skip the
+    check (see _directed).
     """
 
     n_vertices: int
@@ -214,13 +224,27 @@ def _normalize_code(code: Iterable[int] | str) -> tuple[int, ...]:
     return tuple(map(int, bits))
 
 
+def _directed(g: UndirectedGraph, bits: Iterable[int]) -> OrientedGraph:
+    """Direct edge i of g by bits[i] (1: first endpoint dominates), one bit
+    per edge, without OrientedGraph's arc check.
+
+    g's own check already rules out every fault an arc could have here,
+    so the graph is made as build_hex_grid seeds HexGrid.index: fields set
+    on a bare instance, with no __post_init__ run.
+    """
+    arcs = tuple([(u, v) if b else (v, u) for ((u, v), b) in zip(g.edges, bits)])
+    graph = object.__new__(OrientedGraph)
+    object.__setattr__(graph, "n_vertices", g.n_vertices)
+    object.__setattr__(graph, "arcs", arcs)
+    return graph
+
+
 def orient(g: UndirectedGraph, code: Iterable[int] | str) -> OrientedGraph:
     """Direct each edge of g by the aligned code bit (1: first endpoint dominates)."""
     bits = _normalize_code(code)
     if len(bits) != len(g.edges):
         raise ValueError(f"code length {len(bits)} != edge count {len(g.edges)}")
-    arcs = tuple([(u, v) if b else (v, u) for ((u, v), b) in zip(g.edges, bits)])
-    return OrientedGraph(g.n_vertices, arcs)
+    return _directed(g, bits)
 
 
 def enumerate_orientations(g: UndirectedGraph) -> Iterator[OrientedGraph]:
@@ -228,7 +252,7 @@ def enumerate_orientations(g: UndirectedGraph) -> Iterator[OrientedGraph]:
     m = len(g.edges)
     if m > MAX_ENUMERATION_EDGES:
         raise ValueError(f"{m} edges exceeds enumeration limit {MAX_ENUMERATION_EDGES}")
-    return (orient(g, bits) for bits in itertools.product((0, 1), repeat=m))
+    return (_directed(g, bits) for bits in itertools.product((0, 1), repeat=m))
 
 
 #: byte -> its top bit, the bit getrandbits(1) takes from a 32-bit word
@@ -246,5 +270,5 @@ def random_orientation(g: UndirectedGraph, seed: int) -> OrientedGraph:
     m = len(g.edges)
     words = random.Random(seed).getrandbits(32 * m).to_bytes(4 * m, "little")
     # byte 3 of each little-endian word holds its top bit
-    return orient(g, words[3::4].translate(_TOP_BIT))
+    return _directed(g, words[3::4].translate(_TOP_BIT))
 

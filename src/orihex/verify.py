@@ -194,11 +194,17 @@ def _h4_integrity_check():
 
 def _color_all(grid, orientations) -> tuple[int, int]:
     """Color each orientation with color_hex's defaults; return how many
-    were colored and how many colorings are not homomorphisms into A6."""
+    were tried and how many failed: color_hex raised its RuntimeError or
+    ValueError, or its coloring is not a homomorphism into A6."""
     total = failures = 0
     for oriented in orientations:
         total += 1
-        failures += not validate_homomorphism(oriented, fixture_a6(), color_hex(grid, oriented))
+        try:
+            colors = color_hex(grid, oriented)
+        except (RuntimeError, ValueError):
+            failures += 1
+        else:
+            failures += not validate_homomorphism(oriented, fixture_a6(), colors)
     return total, failures
 
 

@@ -224,6 +224,30 @@ def test_random_orientation_matches_per_edge_draws():
             assert random_orientation(g, seed) == orient(g, code)
 
 
+CROSS_CHECK_SHAPES = [(k, k) for k in range(1, 7)] + [(3, 7), (50, 50)]
+
+
+def assert_validated_copy_equal(g):
+    """g, built without the arc check, passes it and equals its checked copy."""
+    checked = OrientedGraph(g.n_vertices, g.arcs)
+    assert checked == g and hash(checked) == hash(g)
+    assert checked.arc_set == g.arc_set and checked.neighbors == g.neighbors
+
+
+@pytest.mark.parametrize("m,n", CROSS_CHECK_SHAPES)
+def test_unchecked_orientations_pass_the_arc_check(m, n):
+    g = build_hex_grid(m, n).graph
+    for seed in range(4):
+        assert_validated_copy_equal(random_orientation(g, seed))
+        rng = random.Random(seed)
+        assert_validated_copy_equal(orient(g, [rng.getrandbits(1) for _ in g.edges]))
+    if (m, n) == (1, 1):
+        orientations = list(enumerate_orientations(g))
+        assert len(orientations) == 64
+        for o in orientations:
+            assert_validated_copy_equal(o)
+
+
 H50 = build_hex_grid(50, 50).graph
 LATE = len(H50.edges) - 5
 

@@ -1,12 +1,15 @@
 """The verify-paper report: its pinned content, its FAIL paths and its undecided path."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 import orihex.cli as cli
 import orihex.verify as verify
+from orihex.digraph import orient, random_orientation
+from orihex.hexgrid import build_hex_grid
 from orihex.homomorphism import HomResult, SearchBudgetExceeded
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_small_seed0.json"
@@ -62,6 +65,38 @@ def test_gating_search_found_fails(monkeypatch):
     assert combined.verdict == "FAIL"
     assert combined.details["summary"] == "lower_bound: refuted by a homomorphism"
     assert report.overall == "FAIL"
+
+
+@pytest.mark.parametrize("error", [
+    RuntimeError("internal error: coloring violates an arc"),
+    ValueError("orientation must direct exactly the grid's edges"),
+])
+def test_coloring_that_raises_counts_as_a_failure(monkeypatch, tmp_path, capsys, error):
+    """One orientation per upper-bound record makes color_hex raise: each
+    record FAILs with one failure inside a written report, exit 1."""
+    first_trial_seed = random.Random(0).getrandbits(32)
+    bad = {
+        orient(build_hex_grid(1, 1).graph, "101010").arcs,
+        random_orientation(build_hex_grid(5, 5).graph, first_trial_seed).arcs,
+    }
+    real = verify.color_hex
+
+    def raise_on_bad(grid, oriented):
+        if oriented.arcs in bad:
+            raise error
+        return real(grid, oriented)
+
+    monkeypatch.setattr(verify, "color_hex", raise_on_bad)
+    out = tmp_path / "report.json"
+    assert cli.cli_dispatch(["verify-paper", "--out", str(out)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("overall: FAIL")
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    exhaustive = checks["upper_bound_exhaustive_h11"]
+    assert (exhaustive["verdict"], exhaustive["details"]) == (
+        "FAIL", {"orientations": 64, "failures": 1})
+    sampled = checks["upper_bound_sampled"]
+    assert (sampled["verdict"], sampled["details"]["failures"]) == ("FAIL", 1)
+    assert "summary" not in sampled["details"]
 
 
 def test_tampered_fixture_digest_fails(monkeypatch):
