@@ -36,14 +36,15 @@ class GraphFormatError(ValueError):
 class ArcError(ValueError):
     """Raised for an arc no orientation may hold: arcs[index], and what is wrong."""
 
-    def __init__(self, index: int, arc: tuple[int, int], problem: str):
+    def __init__(self, index: int, arc: tuple[int, ...], problem: str):
         super().__init__(f"arc {arc} {problem}")
         self.index, self.problem = index, problem
 
 
 def _is_simple(n_vertices: int, pairs: tuple[tuple[int, int], ...]) -> bool:
-    """True when every endpoint lies in 0..n_vertices-1 and no pair is a
-    self-loop or repeats another pair in either direction.
+    """True when every item is a pair, every endpoint lies in
+    0..n_vertices-1, and no pair is a self-loop or repeats another pair in
+    either direction.
 
     One pass of C-level set and min/max work over all pairs: a self-loop
     (u, u) is its own reverse, so the reversed pairs meet the set exactly
@@ -51,6 +52,8 @@ def _is_simple(n_vertices: int, pairs: tuple[tuple[int, int], ...]) -> bool:
     """
     if not pairs:
         return True
+    if set(map(len, pairs)) != {2}:
+        return False
     tails = tuple(map(itemgetter(0), pairs))
     heads = tuple(map(itemgetter(1), pairs))
     if min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n_vertices:
@@ -74,7 +77,10 @@ class UndirectedGraph:
         if _is_simple(self.n_vertices, self.edges):
             return
         seen = set()
-        for (u, v) in self.edges:
+        for edge in self.edges:
+            if len(edge) != 2:
+                raise ValueError(f"edge {edge!r} is not a pair")
+            u, v = edge
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
@@ -103,7 +109,10 @@ class OrientedGraph:
         if _is_simple(self.n_vertices, self.arcs):
             return
         seen = set()
-        for i, (u, v) in enumerate(self.arcs):
+        for i, arc in enumerate(self.arcs):
+            if len(arc) != 2:
+                raise ArcError(i, arc, "is not a pair")
+            u, v = arc
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 problem = f"has an endpoint out of range ({self.n_vertices} vertices)"
             elif u == v:

@@ -106,8 +106,10 @@ def homomorphism_exists(
     the root and again after every assignment: across each arc, a vertex
     keeps only the colors that some color of its neighbor supports,
     doms[w] & sup[doms[v]] with the target's out- or in-support table,
-    until no domain changes. Changes are undone through a trail of
-    (vertex, old domain) pairs.
+    until no domain changes. The vertices to revise form a set, taken in
+    any order: the domains end as the largest arc-consistent ones inside
+    the starting ones whatever the order (Mackworth 1977), so no result
+    depends on it. A trail of (vertex, old domain) pairs undoes changes.
 
     Vertices are assigned in the static order of `_search_order`, target
     vertices tried in ascending order. Propagation only removes colors
@@ -128,36 +130,28 @@ def homomorphism_exists(
     out_sup, in_sup = t.out_support, t.in_support
     full = (1 << k) - 1
     doms = [full] * g.n_vertices
-    # full domains are arc consistent unless the target has a source or a
-    # sink; otherwise every vertex starts on the propagation stack
-    pending = list(range(g.n_vertices)) if out_sup[full] & in_sup[full] != full else []
-    queued = [bool(pending)] * g.n_vertices
     trail: list[tuple[int, int]] = []
 
-    def propagate(stack: list[int]) -> bool:
-        """Revise the neighbors of each vertex on the stack, and of every
-        vertex whose domain that narrows, until no domain changes. False
-        on a wipeout. Every vertex on the stack must be marked queued."""
-        while stack:
-            v = stack.pop()
-            queued[v] = False
+    def propagate(pending: set[int]) -> bool:
+        """Revise the neighbors of each pending vertex, in any order, adding
+        each vertex whose domain narrows, until none is pending. False on a
+        wipeout, which the order cannot change: there is one fixpoint."""
+        while pending:
+            v = pending.pop()
             dv = doms[v]
             for (w, outgoing) in nbrs[v]:
                 dw = doms[w]
                 nd = dw & (out_sup[dv] if outgoing else in_sup[dv])
                 if nd != dw:
                     if not nd:
-                        for u in stack:
-                            queued[u] = False
                         return False
                     trail.append((w, dw))
                     doms[w] = nd
-                    if not queued[w]:
-                        queued[w] = True
-                        stack.append(w)
+                    pending.add(w)
         return True
 
-    if not propagate(pending):
+    # full domains are arc consistent unless the target has a source or a sink
+    if out_sup[full] & in_sup[full] != full and not propagate(set(range(g.n_vertices))):
         return HomResult(False, None, 0, 0)
     order, starts = _search_order(g)
     m = len(order)
@@ -191,8 +185,7 @@ def homomorphism_exists(
         if doms[v] != low:
             trail.append((v, doms[v]))
             doms[v] = low
-            queued[v] = True
-            if not propagate([v]):
+            if not propagate({v}):
                 continue
         p += 1
         if p > max_depth:

@@ -265,6 +265,8 @@ ARC_FAULTS = {
     "self-loop": (lambda a: (7, 7), "is a self-loop"),
     "duplicate": (lambda a: a[3], "is a duplicate arc"),
     "2-cycle": (lambda a: a[3][::-1], "closes a 2-cycle"),
+    "triple": (lambda a: a[LATE] + (0,), "is not a pair"),
+    "single": (lambda a: a[LATE][:1], "is not a pair"),
 }
 
 
@@ -277,6 +279,9 @@ def test_bulk_check_names_the_first_bad_arc(fault):
     with pytest.raises(ArcError) as exc:
         OrientedGraph(H50.n_vertices, arcs)
     assert (exc.value.index, exc.value.problem) == (LATE, problem)
+    assert str(exc.value) == f"arc {arcs[LATE]} {problem}"
+    if len(arcs[LATE]) != 2:
+        return  # the parser makes only pairs
     lines = [f"{u + 1} {v + 1}" for (u, v) in arcs]
     text = "\n".join([f"{H50.n_vertices} {len(arcs)}", "# H_{50,50}", *lines])
     with pytest.raises(GraphFormatError) as exc:
@@ -302,6 +307,8 @@ def test_bulk_check_names_the_earliest_of_several_faults():
          f"out of range 0..{H50.n_vertices - 1}"),
         (lambda e: e[3], "duplicate edge {%d,%d}"),
         (lambda e: e[3][::-1], "duplicate edge {%d,%d}"),
+        (lambda e: e[LATE] + (0,), "edge %r is not a pair"),
+        (lambda e: e[LATE][:1], "edge %r is not a pair"),
     ],
 )
 def test_bulk_check_names_the_bad_edge(bad, message):
@@ -309,5 +316,7 @@ def test_bulk_check_names_the_bad_edge(bad, message):
     edges[LATE] = bad(edges)
     if "%d" in message:
         message %= edges[LATE]
+    elif "%r" in message:
+        message %= (edges[LATE],)
     with pytest.raises(ValueError, match=re.escape(message)):
         UndirectedGraph(H50.n_vertices, tuple(edges))

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -223,6 +225,51 @@ def test_fixture_searches_pinned():
             assert not result.found, (name, tname)
         else:
             assert result.witness == tuple(int(c) for c in expected), (name, tname)
+
+
+def disjoint_union(*graphs):
+    arcs, offset = [], 0
+    for g in graphs:
+        arcs += [(u + offset, v + offset) for (u, v) in g.arcs]
+        offset += g.n_vertices
+    return OrientedGraph(offset, tuple(arcs))
+
+
+def search_outcome_stream():
+    """(found, witness, nodes_expanded, max_depth) of 1,620 searches: the
+    fixtures, small random grids, deep A6 searches and disconnected graphs.
+    Larger grids are searched only against A6: some H_{4,6} orientations
+    already run for seconds against T3 and T6."""
+    targets = [named_tournament(f"T{i}") for i in range(1, 13)] + [fixture_a6()]
+    h4 = fixture_h4().graph
+    seeds = random.Random(7)
+    searches = [(g, t) for g in (h4, fixture_h49().graph) for t in targets]
+    for m in (1, 2, 3):
+        grid = build_hex_grid(m, m).graph
+        for _ in range(40):
+            g = random_orientation(grid, seeds.getrandbits(32))
+            searches += [(g, t) for t in targets]
+    for m in (10, 20):
+        grid = build_hex_grid(m, m).graph
+        searches += [(random_orientation(grid, seed), fixture_a6()) for seed in range(4)]
+    for g in (disjoint_union(h4, h4), disjoint_union(h4, OrientedGraph(3, ()))):
+        searches += [(g, t) for t in targets]
+    return [
+        (r.found, r.witness, r.nodes_expanded, r.max_depth)
+        for r in (homomorphism_exists(g, t) for (g, t) in searches)
+    ]
+
+
+#: sha256 of search_outcome_stream() as JSON; any change in a verdict,
+#: witness or node count over the stream changes it
+SEARCH_STREAM_SHA256 = "ab4471860a1cc253c0514a712b0adfb475c30f0fdd3d71a269cf2d2d7bf22ec6"
+
+
+def test_search_outcome_stream_pinned():
+    outcomes = search_outcome_stream()
+    assert len(outcomes) == 1620
+    digest = hashlib.sha256(json.dumps(outcomes).encode()).hexdigest()
+    assert digest == SEARCH_STREAM_SHA256
 
 
 def test_deep_grid_maps_into_a6():
