@@ -139,6 +139,37 @@ class OrientedGraph:
             nbrs[v].append((u, False))
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
+    @cached_property
+    def search_order(self) -> tuple[tuple[int, ...], frozenset[int]]:
+        """The static variable order of homomorphism_exists, and the
+        positions in it where the connected components start; computed on
+        the graph's first search and kept, like neighbors.
+
+        One pass over the vertices by (-degree, index): each vertex not yet
+        placed roots its component, which is then placed breadth-first with
+        neighbors in ascending index. A component's root is therefore its
+        maximum-degree vertex, the lowest index on ties.
+        """
+        nbrs = self.neighbors
+        placed = [False] * self.n_vertices
+        order: list[int] = []
+        starts: set[int] = set()
+        head = 0
+        # sorted() is stable, so equal degrees stay in ascending index
+        for root in sorted(range(self.n_vertices), key=[-len(ns) for ns in nbrs].__getitem__):
+            if placed[root]:
+                continue
+            starts.add(len(order))
+            placed[root] = True
+            order.append(root)
+            while head < len(order):
+                for (w, _) in nbrs[order[head]]:
+                    if not placed[w]:
+                        placed[w] = True
+                        order.append(w)
+                head += 1
+        return tuple(order), frozenset(starts)
+
 
 def _parse_int(tok: str, what: str, line: int) -> int:
     try:

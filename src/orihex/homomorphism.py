@@ -66,36 +66,6 @@ def search_record(g: OrientedGraph, t: Tournament, result: HomResult) -> dict:
 MAX_SEARCH_ORDER = 16
 
 
-def _search_order(g: OrientedGraph) -> tuple[list[int], set[int]]:
-    """The static variable order, and the positions in it where the
-    connected components start.
-
-    One pass over the vertices by (-degree, index): each vertex not yet
-    placed roots its component, which is then placed breadth-first with
-    neighbors in ascending index. A component's root is therefore its
-    maximum-degree vertex, the lowest index on ties.
-    """
-    nbrs = g.neighbors
-    placed = [False] * g.n_vertices
-    order: list[int] = []
-    starts: set[int] = set()
-    head = 0
-    # sorted() is stable, so equal degrees stay in ascending index
-    for root in sorted(range(g.n_vertices), key=[-len(ns) for ns in nbrs].__getitem__):
-        if placed[root]:
-            continue
-        starts.add(len(order))
-        placed[root] = True
-        order.append(root)
-        while head < len(order):
-            for (w, _) in nbrs[order[head]]:
-                if not placed[w]:
-                    placed[w] = True
-                    order.append(w)
-            head += 1
-    return order, starts
-
-
 def homomorphism_exists(
     g: OrientedGraph, t: Tournament, time_budget_s: float | None = None
 ) -> HomResult:
@@ -111,10 +81,11 @@ def homomorphism_exists(
     the starting ones whatever the order (Mackworth 1977), so no result
     depends on it. A trail of (vertex, old domain) pairs undoes changes.
 
-    Vertices are assigned in the static order of `_search_order`, target
-    vertices tried in ascending order. Propagation only removes colors
-    that no homomorphism extending the current assignment uses, so the
-    witness is the lexicographically first in that order; it and the
+    Vertices are assigned in the static order of `g.search_order`, which
+    the graph computes on its first search and keeps for every later one,
+    target vertices tried in ascending order. Propagation only removes
+    colors that no homomorphism extending the current assignment uses, so
+    the witness is the lexicographically first in that order; it and the
     verdict are deterministic. Components share no arcs: when the first
     vertex of a component runs out of colors, no homomorphism exists.
 
@@ -153,7 +124,7 @@ def homomorphism_exists(
     # full domains are arc consistent unless the target has a source or a sink
     if out_sup[full] & in_sup[full] != full and not propagate(set(range(g.n_vertices))):
         return HomResult(False, None, 0, 0)
-    order, starts = _search_order(g)
+    order, starts = g.search_order
     m = len(order)
     choices = [0] * m  # colors still to try at each position
     marks = [0] * m  # trail length before each position's assignment
@@ -263,12 +234,25 @@ def brute_force_hom(g: OrientedGraph, t: Tournament) -> HomResult:
     return HomResult(True, tuple(witness), nodes, len(steps))
 
 
-def chi_o(g: OrientedGraph, k_max: int = 5) -> int | None:
+def chi_o(
+    g: OrientedGraph, k_max: int = 5, time_budget_s: float | None = None
+) -> int | None:
     """Least k <= k_max such that g has an oriented k-coloring, else None;
-    ValueError if k_max < 1 or the search passes MAX_CENSUS_ORDER."""
+    ValueError if k_max < 1 or the search passes MAX_CENSUS_ORDER.
+
+    A time budget counts over the whole call: each search gets the time
+    still left, and SearchBudgetExceeded is raised as in
+    homomorphism_exists."""
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    for k in range(1, k_max + 1):
-        if any(homomorphism_exists(g, t).found for t in enumerate_tournaments(k)):
-            return k
+    deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
+    try:
+        for k in range(1, k_max + 1):
+            for t in enumerate_tournaments(k):
+                left = deadline - time.monotonic() if deadline is not None else None
+                if homomorphism_exists(g, t, time_budget_s=left).found:
+                    return k
+    except SearchBudgetExceeded:
+        # name the caller's budget, not the remainder the search was given
+        raise SearchBudgetExceeded(f"time budget {time_budget_s}s exceeded") from None
     return None

@@ -223,8 +223,11 @@ def fixture_a6() -> Tournament:
     return Tournament.from_arcs(6, A6_ARCS)
 
 
+@cache
 def named_tournament(name: str) -> Tournament:
-    """Resolve the built-in names T1..T12 and A6."""
+    """Resolve the built-in names T1..T12 and A6: one cached object per
+    name, as for fixture_a6, so its tables are derived once per process.
+    An unknown name raises ValueError, and nothing is cached for it."""
     if name == "A6":
         return fixture_a6()
     bits = TOURNAMENT_BITS.get(name)

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from orihex.digraph import OrientedGraph, random_orientation
+import orihex.homomorphism as homomorphism
+from orihex.digraph import OrientedGraph, parse_digraph, random_orientation, serialize_digraph
 from orihex.hexgrid import build_hex_grid, fixture_h4, fixture_h49
 from orihex.homomorphism import (
     HomResult,
@@ -182,6 +183,30 @@ def test_chi_o_rejects_bound_below_one(k_max):
         chi_o(OrientedGraph(2, ((0, 1),)), k_max=k_max)
 
 
+def test_chi_o_budget_counts_over_the_whole_call(monkeypatch):
+    budgets = []
+    real = homomorphism.homomorphism_exists
+
+    def recording(g, t, time_budget_s=None):
+        budgets.append(time_budget_s)
+        return real(g, t, time_budget_s=time_budget_s)
+
+    monkeypatch.setattr(homomorphism, "homomorphism_exists", recording)
+    assert chi_o(fixture_h4().graph, time_budget_s=60.0) == 5
+    # the 1 + 1 + 2 + 4 tournaments of orders 1 to 4, then order 5 in
+    # census order up to the second, the first that H4 maps into
+    assert len(budgets) == 8 + 2
+    assert 60.0 >= budgets[0] and budgets == sorted(budgets, reverse=True)
+    budgets.clear()
+    assert chi_o(fixture_h4().graph) == 5
+    assert set(budgets) == {None}
+
+
+def test_chi_o_budget_exceeded_names_the_budget():
+    with pytest.raises(SearchBudgetExceeded, match=r"^time budget 1e-09s exceeded$"):
+        chi_o(fixture_h49().graph, time_budget_s=1e-9)
+
+
 def test_time_budget_enforced():
     # an instance the static-order search does not settle within seconds
     g = random_orientation(build_hex_grid(10, 10).graph, 1)
@@ -308,3 +333,71 @@ def test_unsatisfiable_component_ends_search():
     assert not result.found
     assert result.nodes_expanded == 1 + 5 + 3
     assert not brute_force_hom(g, THREE_CYCLE_T).found
+
+
+def copy_of(g):
+    return OrientedGraph(g.n_vertices, g.arcs)
+
+
+def test_search_order_kept_with_the_graph():
+    # the out-star first: its center has the highest degree; then the
+    # 4-cycle from its lowest index, breadth-first in ascending index
+    star = tuple((0, i) for i in range(1, 6))
+    g = OrientedGraph(10, star + ((6, 7), (7, 8), (8, 9), (9, 6)))
+    assert g.search_order == ((0, 1, 2, 3, 4, 5, 6, 7, 9, 8), frozenset({0, 6}))
+    assert g.search_order is g.search_order
+    for g in (fixture_h4().graph, fixture_h49().graph, DIRECTED_C3, OrientedGraph(3, ())):
+        homomorphism_exists(g, named_tournament("T11"))
+        order, starts = g.search_order
+        assert (order, starts) == copy_of(g).search_order
+        assert sorted(order) == list(range(g.n_vertices))
+        assert isinstance(order, tuple) and isinstance(starts, frozenset)
+
+
+def test_searched_graph_still_equals_an_unsearched_one():
+    g = random_orientation(build_hex_grid(2, 2).graph, 3)
+    fresh = copy_of(g)
+    homomorphism_exists(g, named_tournament("T6"))
+    assert "search_order" in vars(g) and "search_order" not in vars(fresh)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert repr(g) == repr(fresh)
+    assert "search_order" not in repr(g)
+
+
+def fresh_copies(g, grid=None, seed=None):
+    """New objects equal to g: from the public constructor, from the parser
+    and, for a seeded grid orientation, from random_orientation again."""
+    copies = [copy_of(g), parse_digraph(serialize_digraph(g))]
+    if grid is not None:
+        copies.append(random_orientation(grid, seed))
+    return copies
+
+
+def test_outcomes_same_cold_and_warm():
+    # warm: after searching every target, in reverse order, first
+    targets = [named_tournament(f"T{i}") for i in range(1, 13)] + [fixture_a6()]
+    seeds = random.Random(11)
+    cases = [(fixture_h4().graph, None, None), (fixture_h49().graph, None, None)]
+    for m in (1, 2, 3):
+        grid = build_hex_grid(m, m).graph
+        for seed in [seeds.getrandbits(32) for _ in range(3)]:
+            cases.append((random_orientation(grid, seed), grid, seed))
+    for case in cases:
+        cold, warm = fresh_copies(*case), fresh_copies(*case)
+        for g in warm:
+            for t in reversed(targets):
+                homomorphism_exists(g, t)
+        outcomes = {tuple(homomorphism_exists(g, t) for t in targets) for g in cold + warm}
+        assert len(outcomes) == 1
+
+
+def test_search_after_budget_exceeded_keeps_its_outcome():
+    g = copy_of(fixture_h49().graph)
+    for tname in ("T11", "T5"):
+        t = named_tournament(tname)
+        with pytest.raises(SearchBudgetExceeded):
+            homomorphism_exists(g, t, time_budget_s=1e-9)
+        result = homomorphism_exists(g, t)
+        assert result.nodes_expanded == FIXTURE_NODES[("H49", tname)]
+        expected = FIXTURE_WITNESSES.get(("H49", tname))
+        assert result.witness == (tuple(map(int, expected)) if expected else None)

@@ -179,3 +179,17 @@ def test_resolve_tournament_forms():
         resolve_tournament("T13")
     with pytest.raises(ValueError):
         resolve_tournament("x:010")
+
+
+def test_named_tournaments_are_cached_objects():
+    for name in list(TOURNAMENT_BITS) + ["A6"]:
+        assert named_tournament(name) is named_tournament(name)
+        assert resolve_tournament(name) is named_tournament(name)
+    assert named_tournament("T5") == parse_tournament(TOURNAMENT_BITS["T5"], 5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^unknown tournament name 'T13'$"):
+            named_tournament("T13")
+    # the <k>:<bits> form parses afresh on every call
+    text = "5:" + TOURNAMENT_BITS["T5"]
+    assert resolve_tournament(text) is not resolve_tournament(text)
+    assert resolve_tournament(text) == named_tournament("T5")
