@@ -7,17 +7,15 @@ command raises, printed as one "error: ..." line), 3 undecided: a search
 (verify-paper's too, which then prints no report) ran out of its time
 budget, of stack or of memory.
 
-`hom check --budget SECONDS` bounds its search; `chi-o --budget` bounds
-all of its searches together and defaults to verify-paper's per-search
-budget. A budget must be a finite number of seconds above 0, and
-`--brute` takes none: the oracle is bounded by its state guard, not a
-clock. Either mistake exits 2.
+Every search a command starts has verify-paper's time budget,
+SOLVER_BUDGET_S: `hom check` gives it to its one search and `chi-o` to all
+of its searches together. `hom check --brute` has none: the oracle is
+bounded by its state guard, not a clock.
 
 Examples:
   orihex tourn list -k 5
   orihex hex gen -m 3 -n 4 --seed 7 > grid.digraph
   orihex hom check -g H4 -t T5
-  orihex hom check -g H49 -t T11 --budget 5
   orihex prop1 -t A6
   orihex color -m 5 -n 5 --seed 1 --json
   orihex chi-o -g grid.digraph
@@ -29,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -113,20 +110,13 @@ def _cmd_tourn_canon(args) -> int:
     return 0
 
 
-def _budget(seconds: float | None) -> float | None:
-    """A --budget value, checked: None, or a finite number of seconds above 0."""
-    if seconds is not None and not (math.isfinite(seconds) and seconds > 0):
-        raise ValueError(f"budget must be a finite number of seconds above 0, got {seconds}")
-    return seconds
-
-
 def _cmd_hom_check(args) -> int:
-    budget = _budget(args.budget)
-    if args.brute and budget is not None:
-        raise ValueError("--brute takes no --budget: the oracle has a state guard, not a clock")
     g = _load_graph(args.graph)
     t = resolve_tournament(args.tournament)
-    result = brute_force_hom(g, t) if args.brute else homomorphism_exists(g, t, budget)
+    if args.brute:
+        result = brute_force_hom(g, t)
+    else:
+        result = homomorphism_exists(g, t, time_budget_s=SOLVER_BUDGET_S)
     if args.json:
         print(json.dumps(search_record(g, t, result)))
     elif result.found:
@@ -164,9 +154,8 @@ def _cmd_color(args) -> int:
 
 
 def _cmd_chi_o(args) -> int:
-    budget = _budget(args.budget)
     g = _load_graph(args.graph)
-    value = chi_o(g, k_max=args.k_max, time_budget_s=budget)
+    value = chi_o(g, k_max=args.k_max, time_budget_s=SOLVER_BUDGET_S)
     if args.json:
         print(json.dumps({"chi_o": value, "k_max": args.k_max}))
     elif value is None:
@@ -242,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     hcheck.add_argument("-g", "--graph", required=True, help="graph file, or H4/H49")
     hcheck.add_argument("-t", "--tournament", required=True, help="T1..T12, A6, or k:bits")
     hcheck.add_argument("--brute", action="store_true", help="use the frontier DP oracle")
-    hcheck.add_argument("--budget", type=float, metavar="SECONDS",
-                        help="time budget of the search (exit 3 once it runs out)")
     hcheck.add_argument("--json", action="store_true")
     hcheck.set_defaults(fn=_cmd_hom_check)
 
@@ -262,9 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     chio = sub.add_parser("chi-o", help="oriented chromatic number of a digraph")
     chio.add_argument("-g", "--graph", required=True)
     chio.add_argument("--k-max", type=int, default=5)
-    chio.add_argument("--budget", type=float, default=SOLVER_BUDGET_S, metavar="SECONDS",
-                      help="time budget of all the searches together (exit 3 once it "
-                           "runs out; default %(default)s)")
     chio.add_argument("--json", action="store_true")
     chio.set_defaults(fn=_cmd_chi_o)
 

@@ -8,6 +8,7 @@ whose vertex order keeps the frontier narrow. Both are deterministic.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -66,6 +67,18 @@ def search_record(g: OrientedGraph, t: Tournament, result: HomResult) -> dict:
 MAX_SEARCH_ORDER = 16
 
 
+def _deadline(time_budget_s: float | None) -> float | None:
+    """The time.monotonic() deadline of a time budget, None for no budget;
+    ValueError unless the budget is a finite number of seconds above 0."""
+    if time_budget_s is None:
+        return None
+    if not 0 < time_budget_s < math.inf:
+        raise ValueError(
+            f"time budget must be a finite number of seconds above 0, got {time_budget_s}"
+        )
+    return time.monotonic() + time_budget_s
+
+
 def homomorphism_exists(
     g: OrientedGraph, t: Tournament, time_budget_s: float | None = None
 ) -> HomResult:
@@ -90,13 +103,14 @@ def homomorphism_exists(
     vertex of a component runs out of colors, no homomorphism exists.
 
     `nodes_expanded` counts the colors tried and `max_depth` the most
-    vertices assigned at once. With a time budget, the deadline is checked
-    at every node, and SearchBudgetExceeded is raised once it has passed.
+    vertices assigned at once. A time budget must be a finite number of
+    seconds above 0 (ValueError otherwise); its deadline is checked at
+    every node, and SearchBudgetExceeded is raised once it has passed.
     """
     k = t.order
     if k > MAX_SEARCH_ORDER:
         raise ValueError(f"target order {k} exceeds the search limit {MAX_SEARCH_ORDER}")
-    deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
+    deadline = _deadline(time_budget_s)
     nbrs = g.neighbors
     out_sup, in_sup = t.out_support, t.in_support
     full = (1 << k) - 1
@@ -240,19 +254,21 @@ def chi_o(
     """Least k <= k_max such that g has an oriented k-coloring, else None;
     ValueError if k_max < 1 or the search passes MAX_CENSUS_ORDER.
 
-    A time budget counts over the whole call: each search gets the time
-    still left, and SearchBudgetExceeded is raised as in
-    homomorphism_exists."""
+    A time budget is checked as in homomorphism_exists and counts over
+    the whole call: each search gets the time still left, and
+    SearchBudgetExceeded, naming this budget, is raised once none is."""
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
-    deadline = time.monotonic() + time_budget_s if time_budget_s is not None else None
+    deadline = _deadline(time_budget_s)
     try:
         for k in range(1, k_max + 1):
             for t in enumerate_tournaments(k):
                 left = deadline - time.monotonic() if deadline is not None else None
+                if left is not None and left <= 0:
+                    raise SearchBudgetExceeded
                 if homomorphism_exists(g, t, time_budget_s=left).found:
                     return k
     except SearchBudgetExceeded:
-        # name the caller's budget, not the remainder the search was given
+        # name the caller's budget, not the remainder a search was given
         raise SearchBudgetExceeded(f"time budget {time_budget_s}s exceeded") from None
     return None

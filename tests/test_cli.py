@@ -11,7 +11,6 @@ from orihex.digraph import parse_digraph
 from orihex.hexgrid import build_hex_grid, fixture_h4
 from orihex.homomorphism import SearchBudgetExceeded, validate_homomorphism
 from orihex.tournaments import named_tournament
-from orihex.verify import SOLVER_BUDGET_S
 
 GOLDEN = Path(__file__).parent / "golden" / "h4_t5.dat"
 
@@ -141,14 +140,6 @@ def test_usage_errors_exit_two(capsys):
         ("tourn list -k 7", "order 7 is outside the census range 0..6"),
         ("chi-o -g H4 --k-max 0", "k_max must be at least 1, got 0"),
         ("chi-o -g H4 --k-max -1", "k_max must be at least 1, got -1"),
-        ("chi-o -g H4 --budget 0", "budget must be a finite number of seconds above 0, got 0.0"),
-        ("chi-o -g H4 --budget inf", "budget must be a finite number of seconds above 0, got inf"),
-        ("hom check -g H4 -t T5 --budget -1",
-         "budget must be a finite number of seconds above 0, got -1.0"),
-        ("hom check -g H4 -t T5 --budget nan",
-         "budget must be a finite number of seconds above 0, got nan"),
-        ("hom check -g H4 -t T5 --brute --budget 1",
-         "--brute takes no --budget: the oracle has a state guard, not a clock"),
     ],
 )
 def test_input_errors_print_one_line(capsys, tmp_path, argv, err):
@@ -233,30 +224,20 @@ def test_chi_o_of_fixture(capsys):
         assert out.strip() == "5"
 
 
-def test_chi_o_default_output_and_budget(monkeypatch, capsys):
+def test_chi_o_default_output(capsys):
     code, out, _ = run(capsys, "chi-o", "-g", "H4", "--json")
     assert (code, json.loads(out)) == (0, {"chi_o": 5, "k_max": 5})
-    budgets = []
-    real = cli.chi_o
-
-    def recording(g, k_max, time_budget_s):
-        budgets.append(time_budget_s)
-        return real(g, k_max, time_budget_s)
-
-    monkeypatch.setattr(cli, "chi_o", recording)
-    for extra in ((), ("--budget", "2.5")):
-        code, out, _ = run(capsys, "chi-o", "-g", "H4", *extra)
-        assert (code, out) == (0, "5\n")
-    assert budgets == [SOLVER_BUDGET_S, 2.5]
 
 
-def test_search_past_its_budget_exits_three(capsys):
-    for argv in ("hom check -g H49 -t T11 --budget 1e-9", "chi-o -g H49 --budget 1e-9"):
+def test_search_past_its_budget_exits_three(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SOLVER_BUDGET_S", 1e-9)
+    for argv in ("hom check -g H49 -t T11", "chi-o -g H49"):
         code, out, err = run(capsys, *argv.split())
         assert (code, out) == (3, "")
         assert err == "undecided: SearchBudgetExceeded time budget 1e-09s exceeded\n"
-    code, out, _ = run(capsys, "hom", "check", "-g", "H49", "-t", "T11", "--budget", "60")
-    assert (code, out) == (1, "NONE (nodes expanded: 700)\n")
+    # the oracle has a state guard, not a clock
+    code, out, _ = run(capsys, "hom", "check", "-g", "H4", "-t", "T5", "--brute")
+    assert code == 1 and out.startswith("NONE")
 
 
 def test_chi_o_json_sentinel(capsys, tmp_path):

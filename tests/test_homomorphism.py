@@ -207,6 +207,24 @@ def test_chi_o_budget_exceeded_names_the_budget():
         chi_o(fixture_h49().graph, time_budget_s=1e-9)
 
 
+@pytest.mark.parametrize("budget", [float("nan"), float("inf"), -float("inf"), 0, -1.0])
+def test_bad_time_budget_is_rejected(budget):
+    err = rf"^time budget must be a finite number of seconds above 0, got {budget}$"
+    with pytest.raises(ValueError, match=err):
+        homomorphism_exists(fixture_h4().graph, named_tournament("T5"), time_budget_s=budget)
+    with pytest.raises(ValueError, match=err):
+        chi_o(fixture_h4().graph, time_budget_s=budget)
+
+
+def test_chi_o_budget_spent_between_searches(monkeypatch):
+    # the clock passes chi_o's deadline before its first search starts: the
+    # time left is <= 0, an exceeded budget rather than a bad one
+    clock = itertools.chain([0.0], itertools.repeat(2.0))
+    monkeypatch.setattr(homomorphism, "time", type("Clock", (), {"monotonic": clock.__next__}))
+    with pytest.raises(SearchBudgetExceeded, match=r"^time budget 1.0s exceeded$"):
+        chi_o(fixture_h4().graph, time_budget_s=1.0)
+
+
 def test_time_budget_enforced():
     # an instance the static-order search does not settle within seconds
     g = random_orientation(build_hex_grid(10, 10).graph, 1)
