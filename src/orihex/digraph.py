@@ -272,7 +272,8 @@ def _directed(g: UndirectedGraph, bits: Iterable[int]) -> OrientedGraph:
     so the graph is made as build_hex_grid seeds HexGrid.index: fields set
     on a bare instance, with no __post_init__ run.
     """
-    arcs = tuple([(u, v) if b else (v, u) for ((u, v), b) in zip(g.edges, bits)])
+    # a forward arc is the edge's own tuple, so only reversed arcs are new objects
+    arcs = tuple([e if b else (e[1], e[0]) for (e, b) in zip(g.edges, bits)])
     graph = object.__new__(OrientedGraph)
     object.__setattr__(graph, "n_vertices", g.n_vertices)
     object.__setattr__(graph, "arcs", arcs)

@@ -118,21 +118,21 @@ def color_hex(
         table = path_table(target)
     if min(target.out_degrees) < 1 or min(target.in_degrees) < 1:
         raise ValueError("target must have minimum in- and out-degree >= 1")
-    grid.check_orientation(orientation)
-    arcs = orientation.arc_set
+    along = grid.directions(orientation)
 
     # a greedy step takes the lowest color adjacent in the required direction
     lowest_out = [(m & -m).bit_length() - 1 for m in target.out_masks]
     lowest_in = [(m & -m).bit_length() - 1 for m in target.in_masks]
     colors = [0] * orientation.n_vertices
     for step in grid.sweep:
-        if len(step) == 2:
-            v, a = step
-            colors[v] = lowest_out[colors[a]] if (a, v) in arcs else lowest_in[colors[a]]
+        # an edge points the step's way when its direction bit equals its flag
+        if len(step) == 4:
+            v, a, e, same = step
+            colors[v] = lowest_out[colors[a]] if along[e] == same else lowest_in[colors[a]]
             continue
-        v0, v1, v2, a = step
+        v0, v1, v2, a, e0, s0, e1, s1, e2, s2 = step
         # True/False hash and compare equal to the table's 1/0 pattern bits
-        pat = ((v0, v1) in arcs, (v1, v2) in arcs, (v2, a) in arcs)
+        pat = (along[e0] == s0, along[e1] == s1, along[e2] == s2)
         entry = table.get((colors[v0], colors[a], pat))
         if entry is None:
             raise RuntimeError("path table is missing a required entry")

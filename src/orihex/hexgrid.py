@@ -23,6 +23,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
+from operator import eq, or_
 from typing import Iterable
 
 from .digraph import OrientedGraph, UndirectedGraph, parse_graph_file, random_orientation
@@ -57,50 +58,91 @@ class HexGrid:
     def index(self) -> dict[tuple[int, int], int]:
         return {c: v for v, c in enumerate(self.coords)}
 
-    def check_orientation(self, orientation: OrientedGraph) -> None:
-        """Raise ValueError unless orientation directs exactly this grid's edges."""
+    @cached_property
+    def _reversed_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple((v, u) for (u, v) in self.graph.edges)
+
+    def directions(self, orientation: OrientedGraph) -> list[bool]:
+        """Per grid edge i, True when the orientation directs it as listed,
+        edges[i][0] -> edges[i][1]; ValueError unless the orientation directs
+        exactly this grid's edges.
+
+        Orientations built from the grid's edges (orient,
+        random_orientation, enumerate_orientations, and files that
+        serialize_digraph wrote from them) list arc i on edge i, which two
+        elementwise passes confirm; arcs listed in any other order are
+        looked up in the arc set.
+        """
         if orientation.n_vertices != self.graph.n_vertices:
             raise ValueError("orientation and grid disagree on vertex count")
-        arcs, edges = orientation.arc_set, self.graph.edges
+        arcs, edges, reverse = orientation.arcs, self.graph.edges, self._reversed_edges
         # arcs hold no duplicate or opposite pair, so covering every edge with
         # as many arcs as edges directs exactly the grid's edges
-        if len(arcs) != len(edges) or not all(e in arcs or e[::-1] in arcs for e in edges):
+        if len(arcs) != len(edges):
             raise ValueError("orientation must direct exactly the grid's edges")
+        along = list(map(eq, arcs, edges))
+        if not all(map(or_, along, map(eq, arcs, reverse))):
+            has = orientation.arc_set.__contains__
+            along = list(map(has, edges))
+            if not all(map(or_, along, map(has, reverse))):
+                raise ValueError("orientation must direct exactly the grid's edges")
+        return along
+
+    def check_orientation(self, orientation: OrientedGraph) -> None:
+        """Raise ValueError unless orientation directs exactly this grid's edges."""
+        self.directions(orientation)
 
     @cached_property
     def sweep(self) -> tuple[tuple[int, ...], ...]:
         """The row sweep that colors any orientation, as steps over the vertices.
 
         Vertex (1, 1) keeps its initial color and has no step. A greedy step
-        (v, anchor) colors v against its colored neighbor anchor; a pair
-        step (v0, v1, v2, anchor) colors v1, v2 by the walk v0, v1, v2,
-        anchor, whose anchor lies above v2. The shape's invariants are
-        checked here.
+        (v, anchor, e, same) colors v against its colored neighbor anchor
+        across grid edge e. A pair step
+        (v0, v1, v2, anchor, e0, s0, e1, s1, e2, s2) colors v1, v2 by the
+        walk v0, v1, v2, anchor, whose anchor lies above v2; e0, e1, e2
+        are the walk's edges in order. Each flag (same, s0, s1, s2) is True
+        when its edge is listed in the step's direction: anchor -> v in a
+        greedy step; v0 -> v1, v1 -> v2 and v2 -> anchor in a pair step.
+        So an edge is directed the step's way exactly when its entry in
+        directions() equals its flag. The shape's invariants are checked
+        here.
         """
-        index = self.index
+        index, edges = self.index, self.graph.edges
+        at = dict(zip(edges, range(len(edges))))
 
         def above(i: int, j: int) -> int | None:
             # (i-1, j) has an edge down to (i, j) exactly when i-1+j is even
             return index.get((i - 1, j)) if (i - 1 + j) % 2 == 0 else None
 
+        def edge(u: int, v: int) -> tuple[int, bool]:
+            # the edge joining u and v, and True if it is listed as (u, v)
+            e = at.get((u, v))
+            return (e, True) if e is not None else (at[(v, u)], False)
+
+        def greedy(v: int, a: int) -> tuple[int, ...]:
+            return (v, a, *edge(a, v))
+
         lo, hi = hex_row_span(self.m, self.n, 1)
         steps: list[tuple[int, ...]] = [
-            (index[(1, j)], index[(1, j - 1)]) for j in range(lo + 1, hi + 1)
+            greedy(index[(1, j)], index[(1, j - 1)]) for j in range(lo + 1, hi + 1)
         ]
         for i in range(2, self.m + 2):
             lo, hi = hex_row_span(self.m, self.n, i)
             anchor = above(i, lo)
             if anchor is None:
                 raise RuntimeError("row start has no anchor above")
-            steps.append((index[(i, lo)], anchor))
+            steps.append(greedy(index[(i, lo)], anchor))
             j = lo
             while j + 2 <= hi and (anchor := above(i, j + 2)) is not None:
-                steps.append((index[(i, j)], index[(i, j + 1)], index[(i, j + 2)], anchor))
+                v0, v1, v2 = index[(i, j)], index[(i, j + 1)], index[(i, j + 2)]
+                steps.append((v0, v1, v2, anchor, *edge(v0, v1), *edge(v1, v2),
+                              *edge(v2, anchor)))
                 j += 2
             for j in range(j + 1, hi + 1):
                 if above(i, j) is not None:
                     raise RuntimeError("tail vertex unexpectedly anchored above")
-                steps.append((index[(i, j)], index[(i, j - 1)]))
+                steps.append(greedy(index[(i, j)], index[(i, j - 1)]))
         return tuple(steps)
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import partial
 
 from . import __version__
@@ -78,7 +78,8 @@ class CheckRecord:
     elapsed_s: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "elapsed_s": round(self.elapsed_s, 4)}
+        # a shallow copy: json.dumps walks the nested details itself
+        return {**vars(self), "elapsed_s": round(self.elapsed_s, 4)}
 
 
 @dataclass

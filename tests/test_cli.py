@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -198,6 +199,35 @@ def test_hex_gen_graph_of_other_grid_exits_two(capsys, tmp_path):
     code, out, err = run(capsys, "hex", "gen", "-m", "1", "-n", "1", "-g", str(f))
     assert (code, out) == (2, "")
     assert err == "error: orientation must direct exactly the grid's edges\n"
+
+
+def test_graph_file_count_checked_before_the_grid_is_built(capsys, tmp_path, monkeypatch):
+    def no_grid(m, n):
+        raise AssertionError(f"built H_{m},{n}")
+
+    monkeypatch.setattr(cli, "build_hex_grid", no_grid)
+    f = tmp_path / "path3.digraph"
+    f.write_text("3 2\n1 2\n2 3\n")
+    for command in ("color", "hex gen"):
+        code, out, err = run(capsys, *command.split(), "-m", "3000", "-n", "3000", "-g", str(f))
+        assert (code, out) == (2, "")
+        assert err == "error: orientation and grid disagree on vertex count\n"
+
+
+def test_color_file_with_shuffled_arc_lines(capsys, tmp_path):
+    code, generated, _ = run(capsys, "hex", "gen", "-m", "4", "-n", "3", "--seed", "5")
+    assert code == 0
+    header, *arc_lines = generated.splitlines()
+    random.Random(0).shuffle(arc_lines)
+    colors = []
+    for name, lines in (("edge_order", generated.splitlines()), ("shuffled", [header, *arc_lines])):
+        f = tmp_path / f"{name}.digraph"
+        f.write_text("\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "color", "-m", "4", "-n", "3", "-g", str(f), "--json")
+        assert code == 0
+        colors.append(json.loads(out)["colors"])
+    assert arc_lines != generated.splitlines()[1:]
+    assert colors[0] == colors[1]
 
 
 def test_hex_gen_graph_reproduces_its_file(capsys, tmp_path):

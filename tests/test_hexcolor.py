@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -142,40 +143,58 @@ def test_coloring_deterministic():
     assert color_hex(grid, oriented) == color_hex(grid, oriented)
 
 
+def _walk_edges(step):
+    """The (x, y, e, same) of each edge a sweep step constrains, walked
+    from its anchor in a greedy step and from v0 in a pair step."""
+    if len(step) == 4:
+        v, anchor, e, same = step
+        return [(anchor, v, e, same)]
+    path, marks = step[:4], step[4:]
+    return [(x, y, *marks[2 * r:2 * r + 2]) for r, (x, y) in enumerate(zip(path, path[1:]))]
+
+
+def _names_its_edge(grid, x, y, e, same):
+    return grid.graph.edges[e] == ((x, y) if same else (y, x))
+
+
 def test_equal_endpoint_lookups_occur():
     """The row sweep really does hit equal anchor colors, so the table must
     cover u == v."""
     grid = build_hex_grid(5, 5)
-    pairs = [step for step in grid.sweep if len(step) == 4]
+    pairs = [step for step in grid.sweep if len(step) == 10]
+    assert all(_names_its_edge(grid, *edge) for step in pairs for edge in _walk_edges(step))
     hits = 0
     for seed in range(30):
         colors = color_hex(grid, random_orientation(grid.graph, seed))
-        hits += sum(colors[v0] == colors[anchor] for (v0, _, _, anchor) in pairs)
+        hits += sum(colors[v0] == colors[anchor] for (v0, _, _, anchor, *_) in pairs)
     assert hits > 0
 
 
 def test_sweep_schedule_constrains_each_edge_once():
     """For every shape up to 30 x 30: each step reads only colored vertices,
     every vertex is colored once, every grid edge is constrained by exactly
-    one step, and each pair step's anchor is the vertex above v2, joined to
-    it by a vertical edge (even parity)."""
+    one step, each step's edge indices and flags name the edges it
+    constrains, and each pair step's anchor is the vertex above v2, joined
+    to it by a vertical edge (even parity)."""
     for m in range(1, 31):
         for n in range(1, 31):
             grid = build_hex_grid(m, n)
             colored = {0}
             constrained = []
             for step in grid.sweep:
-                if len(step) == 2:
-                    v, anchor = step
-                    reads, writes, path = (anchor,), (v,), (anchor, v)
+                if len(step) == 4:
+                    v, anchor, _, _ = step
+                    reads, writes = (anchor,), (v,)
                 else:
-                    v0, v1, v2, anchor = step
-                    reads, writes, path = (v0, anchor), (v1, v2), step
+                    v0, v1, v2, anchor = step[:4]
+                    reads, writes = (v0, anchor), (v1, v2)
                     (i, j) = grid.coords[v2]
                     assert grid.coords[anchor] == (i - 1, j) and (i - 1 + j) % 2 == 0
                 assert colored.issuperset(reads) and colored.isdisjoint(writes)
                 colored.update(writes)
-                constrained += [(min(e), max(e)) for e in zip(path, path[1:])]
+                for (x, y, e, same) in _walk_edges(step):
+                    assert _names_its_edge(grid, x, y, e, same)
+                    constrained.append((min(x, y), max(x, y)))
             assert len(colored) == grid.graph.n_vertices
             assert len(constrained) == len(set(constrained))
             assert set(constrained) == set(grid.graph.edges)
@@ -208,6 +227,41 @@ def test_color_hex_rejects_mismatched_orientation():
     )
     with pytest.raises(ValueError):
         color_hex(grid, partial)
+
+
+def _bad_entry_breaking_one_arc(grid, table):
+    """An orientation of the grid, the table key its one pair step reads, a
+    wrong entry for that key, and the one arc that entry breaks; the arc is
+    not the orientation's last."""
+    pair = grid.sweep[-1]
+    assert len(pair) == 10 and all(len(step) == 4 for step in grid.sweep[:-1])
+    v0, v1, v2, anchor = pair[:4]
+    for oriented in enumerate_orientations(grid.graph):
+        colors = list(color_hex(grid, oriented))
+        arcs = oriented.arc_set
+        pat = ((v0, v1) in arcs, (v1, v2) in arcs, (v2, anchor) in arcs)
+        key = (colors[v0], colors[anchor], pat)
+        for entry in itertools.product(range(6), repeat=2):
+            colors[v1], colors[v2] = entry
+            broken = [(u, v) for (u, v) in oriented.arcs if not A6.has_arc(colors[u], colors[v])]
+            if len(broken) == 1 and broken[0] != oriented.arcs[-1]:
+                return oriented, key, entry, broken[0]
+    raise AssertionError("no entry breaks exactly one arc")
+
+
+def test_color_hex_final_check_catches_a_bad_table_entry():
+    """A wrong table entry whose coloring breaks one arc makes color_hex
+    raise, with that arc listed last: arcs out of edge order, so the
+    orientation is read through its arc set."""
+    grid = build_hex_grid(1, 1)
+    table = a6_path_table()
+    oriented, key, entry, broken = _bad_entry_breaking_one_arc(grid, table)
+    assert table[key] != entry
+    last = OrientedGraph(6, tuple(a for a in oriented.arcs if a != broken) + (broken,))
+    assert last.arcs != oriented.arcs
+    assert color_hex(grid, last, A6, table) == color_hex(grid, oriented)
+    with pytest.raises(RuntimeError, match=r"^internal error: coloring violates an arc$"):
+        color_hex(grid, last, A6, {**table, key: entry})
 
 
 def test_color_hex_rejects_unsuitable_target():

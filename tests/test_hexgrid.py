@@ -1,4 +1,5 @@
 import hashlib
+import random
 from collections import deque
 
 import pytest
@@ -256,3 +257,28 @@ def test_orientation_extending_edges_listed_high_to_low():
     assert (1, 0) in reversed_edges
     oriented = orientation_extending(grid, [(0, 1)], seed=2)
     assert (0, 1) in oriented.arc_set
+
+
+def test_directions_same_in_any_arc_order():
+    """directions reads arcs listed in edge order elementwise and any other
+    order through the arc set: both give edge i's listed direction."""
+    grid = build_hex_grid(3, 4)
+    rng = random.Random(0)
+    for seed in range(5):
+        oriented = random_orientation(grid.graph, seed)
+        expected = [e in oriented.arc_set for e in grid.graph.edges]
+        shuffled = list(oriented.arcs)
+        rng.shuffle(shuffled)
+        for arcs in (oriented.arcs, tuple(shuffled)):
+            assert grid.directions(OrientedGraph(grid.graph.n_vertices, arcs)) == expected
+
+
+def test_directions_rejects_a_non_edge_in_any_arc_order():
+    grid = build_hex_grid(2, 2)
+    arcs = list(random_orientation(grid.graph, 1).arcs)
+    # vertices 0 and 2 are not adjacent: as many arcs as edges, one off the grid
+    assert (0, 2) not in grid.graph.edges and (2, 0) not in grid.graph.edges
+    arcs[5] = (0, 2)
+    for listed in (arcs, arcs[::-1]):
+        with pytest.raises(ValueError, match=r"^orientation must direct exactly the grid's edges$"):
+            grid.directions(OrientedGraph(grid.graph.n_vertices, tuple(listed)))

@@ -216,10 +216,12 @@ def test_bad_time_budget_is_rejected(budget):
         chi_o(fixture_h4().graph, time_budget_s=budget)
 
 
-def test_chi_o_budget_spent_between_searches(monkeypatch):
-    # the clock passes chi_o's deadline before its first search starts: the
-    # time left is <= 0, an exceeded budget rather than a bad one
-    clock = itertools.chain([0.0], itertools.repeat(2.0))
+@pytest.mark.parametrize("now", [2.0, 1.0], ids=["past", "at"])
+def test_chi_o_budget_spent_between_searches(monkeypatch, now):
+    # the clock passes or reads exactly chi_o's deadline before its first
+    # search starts: the time left is <= 0, an exceeded budget rather than a
+    # bad one, which a search given 0 s would raise
+    clock = itertools.chain([0.0], itertools.repeat(now))
     monkeypatch.setattr(homomorphism, "time", type("Clock", (), {"monotonic": clock.__next__}))
     with pytest.raises(SearchBudgetExceeded, match=r"^time budget 1.0s exceeded$"):
         chi_o(fixture_h4().graph, time_budget_s=1.0)
