@@ -118,7 +118,12 @@ class HexGrid:
         def edge(u: int, v: int) -> tuple[int, bool]:
             # the edge joining u and v, and True if it is listed as (u, v)
             e = at.get((u, v))
-            return (e, True) if e is not None else (at[(v, u)], False)
+            if e is not None:
+                return e, True
+            e = at.get((v, u))
+            if e is None:
+                raise RuntimeError(f"grid graph has no edge joining vertices {u} and {v}")
+            return e, False
 
         def greedy(v: int, a: int) -> tuple[int, ...]:
             return (v, a, *edge(a, v))

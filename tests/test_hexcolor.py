@@ -143,18 +143,11 @@ def test_coloring_deterministic():
     assert color_hex(grid, oriented) == color_hex(grid, oriented)
 
 
-def _walk_edges(step):
-    """The (x, y, e, same) of each edge a sweep step constrains, walked
-    from its anchor in a greedy step and from v0 in a pair step."""
-    if len(step) == 4:
-        v, anchor, e, same = step
-        return [(anchor, v, e, same)]
-    path, marks = step[:4], step[4:]
-    return [(x, y, *marks[2 * r:2 * r + 2]) for r, (x, y) in enumerate(zip(path, path[1:]))]
-
-
-def _names_its_edge(grid, x, y, e, same):
-    return grid.graph.edges[e] == ((x, y) if same else (y, x))
+def _names_its_edges(grid, walked):
+    """Each (x, y, e, same) names the edge it walks: grid edge e, listed
+    as (x, y) when same is True and as (y, x) otherwise."""
+    edges = grid.graph.edges
+    return all(edges[e] == ((x, y) if same else (y, x)) for (x, y, e, same) in walked)
 
 
 def test_equal_endpoint_lookups_occur():
@@ -162,7 +155,10 @@ def test_equal_endpoint_lookups_occur():
     cover u == v."""
     grid = build_hex_grid(5, 5)
     pairs = [step for step in grid.sweep if len(step) == 10]
-    assert all(_names_its_edge(grid, *edge) for step in pairs for edge in _walk_edges(step))
+    assert _names_its_edges(grid, [
+        walk for (v0, v1, v2, anchor, e0, s0, e1, s1, e2, s2) in pairs
+        for walk in ((v0, v1, e0, s0), (v1, v2, e1, s1), (v2, anchor, e2, s2))
+    ])
     hits = 0
     for seed in range(30):
         colors = color_hex(grid, random_orientation(grid.graph, seed))
@@ -180,22 +176,23 @@ def test_sweep_schedule_constrains_each_edge_once():
         for n in range(1, 31):
             grid = build_hex_grid(m, n)
             colored = {0}
-            constrained = []
+            walked = []  # (x, y, e, same) of each edge a step constrains
             for step in grid.sweep:
                 if len(step) == 4:
-                    v, anchor, _, _ = step
+                    v, anchor, e, same = step
                     reads, writes = (anchor,), (v,)
+                    walked.append((anchor, v, e, same))
                 else:
-                    v0, v1, v2, anchor = step[:4]
+                    v0, v1, v2, anchor, e0, s0, e1, s1, e2, s2 = step
                     reads, writes = (v0, anchor), (v1, v2)
+                    walked += [(v0, v1, e0, s0), (v1, v2, e1, s1), (v2, anchor, e2, s2)]
                     (i, j) = grid.coords[v2]
                     assert grid.coords[anchor] == (i - 1, j) and (i - 1 + j) % 2 == 0
                 assert colored.issuperset(reads) and colored.isdisjoint(writes)
                 colored.update(writes)
-                for (x, y, e, same) in _walk_edges(step):
-                    assert _names_its_edge(grid, x, y, e, same)
-                    constrained.append((min(x, y), max(x, y)))
             assert len(colored) == grid.graph.n_vertices
+            assert _names_its_edges(grid, walked)
+            constrained = [(min(x, y), max(x, y)) for (x, y, _, _) in walked]
             assert len(constrained) == len(set(constrained))
             assert set(constrained) == set(grid.graph.edges)
 
@@ -229,7 +226,7 @@ def test_color_hex_rejects_mismatched_orientation():
         color_hex(grid, partial)
 
 
-def _bad_entry_breaking_one_arc(grid, table):
+def _bad_entry_breaking_one_arc(grid):
     """An orientation of the grid, the table key its one pair step reads, a
     wrong entry for that key, and the one arc that entry breaks; the arc is
     not the orientation's last."""
@@ -255,7 +252,7 @@ def test_color_hex_final_check_catches_a_bad_table_entry():
     orientation is read through its arc set."""
     grid = build_hex_grid(1, 1)
     table = a6_path_table()
-    oriented, key, entry, broken = _bad_entry_breaking_one_arc(grid, table)
+    oriented, key, entry, broken = _bad_entry_breaking_one_arc(grid)
     assert table[key] != entry
     last = OrientedGraph(6, tuple(a for a in oriented.arcs if a != broken) + (broken,))
     assert last.arcs != oriented.arcs

@@ -282,3 +282,12 @@ def test_directions_rejects_a_non_edge_in_any_arc_order():
     for listed in (arcs, arcs[::-1]):
         with pytest.raises(ValueError, match=r"^orientation must direct exactly the grid's edges$"):
             grid.directions(OrientedGraph(grid.graph.n_vertices, tuple(listed)))
+
+
+def test_sweep_names_an_edge_missing_from_the_graph():
+    base = build_hex_grid(2, 2)
+    edges = base.graph.edges[1:]
+    grid = HexGrid(2, 2, UndirectedGraph(base.graph.n_vertices, edges), base.coords)
+    u, v = base.graph.edges[0]
+    with pytest.raises(RuntimeError, match=rf"^grid graph has no edge joining vertices ({u} and {v}|{v} and {u})$"):
+        grid.sweep
