@@ -39,7 +39,7 @@ from .digraph import (
     serialize_digraph,
 )
 from .hexcolor import check_property1, color_hex
-from .hexgrid import FIXTURES, build_hex_grid, hex_row_span, named_fixture
+from .hexgrid import FIXTURES, build_hex_grid, hex_vertex_count, named_fixture
 from .homomorphism import (
     SearchBudgetExceeded,
     brute_force_hom,
@@ -74,10 +74,9 @@ def _grid_orientation(args) -> tuple:
     if args.graph is not None:
         oriented = _load_graph(args.graph)
         m, n = args.m, args.n
-        spans = (hex_row_span(m, n, i) for i in range(1, m + 2))
         # counted before the grid is built, so a small file cannot make a huge
         # grid; build_hex_grid names bad dimensions
-        if m >= 1 and n >= 1 and oriented.n_vertices != sum(hi - lo + 1 for lo, hi in spans):
+        if m >= 1 and n >= 1 and oriented.n_vertices != hex_vertex_count(m, n):
             raise ValueError("orientation and grid disagree on vertex count")
         return build_hex_grid(m, n), oriented
     grid = build_hex_grid(args.m, args.n)

@@ -15,12 +15,20 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Iterator
 
 MAX_ENUMERATION_EDGES = 24
+
+#: the most vertices a graph file or a built grid may have
+MAX_VERTICES = 10**6
+
+#: the canonical form serialize_digraph writes: an "N M" header and then
+#: "u v" arc lines, ASCII digits, one space, each line ending in "\n"
+_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
 
 
 class GraphFormatError(ValueError):
@@ -183,9 +191,31 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     bindings from optional ``coord u a b`` lines (keys 0-based).
 
     Format: a header line "N M", then M lines "u v" (arc u -> v, 1-based).
-    Lines starting with '#' and blank lines are ignored. Arcs are checked
-    by OrientedGraph; a bad one is reported with its line.
+    Lines starting with '#' and blank lines are ignored. N may be at most
+    MAX_VERTICES. Arcs are checked by OrientedGraph; a bad one is reported
+    with its line.
+
+    A file in the canonical form serialize_digraph writes is read in bulk:
+    one split, int over the tokens, arcs paired from that iterator. Any
+    other file, and any canonical one the bulk read fails on, is walked
+    line by line, which names the fault and its line. So the graph, or the
+    error and its line, is the same either way.
     """
+    if _CANONICAL.fullmatch(text):
+        # bytes tokens take less memory than str ones, and int reads them faster
+        tokens = map(int, text.encode().split())
+        try:
+            n, m = next(tokens), next(tokens)
+            if n <= MAX_VERTICES:
+                # token u names vertex u - 1; the arcs share one int per vertex
+                vertices = map(list(range(-1, n)).__getitem__, tokens)
+                pairs = tuple(zip(vertices, vertices))
+                if len(pairs) == m:
+                    return OrientedGraph(n, pairs), {}
+        except (ValueError, IndexError):
+            # a number too long for int, a vertex past n or a bad arc
+            # (ArcError): the walk below names the fault and its line
+            pass
     header: tuple[int, int] | None = None
     arcs: list[tuple[int, int]] = []
     arc_lines: list[int] = []
@@ -211,6 +241,8 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
             m = _parse_int(toks[1], "arc count", lineno)
             if n < 0 or m < 0:
                 raise GraphFormatError("counts must be nonnegative", lineno)
+            if n > MAX_VERTICES:
+                raise GraphFormatError(f"vertex count {n} exceeds the limit {MAX_VERTICES}", lineno)
             header = (n, m)
             continue
         n, m = header
@@ -252,8 +284,9 @@ def parse_digraph(text: str) -> OrientedGraph:
 
 def serialize_digraph(g: OrientedGraph) -> str:
     """Canonical text form: header plus one 1-based 'u v' line per arc."""
+    names = list(map(str, range(1, g.n_vertices + 1)))
     lines = [f"{g.n_vertices} {len(g.arcs)}"]
-    lines += [f"{u + 1} {v + 1}" for (u, v) in g.arcs]
+    lines += [f"{names[u]} {names[v]}" for (u, v) in g.arcs]
     return "\n".join(lines) + "\n"
 
 

@@ -119,6 +119,11 @@ def color_hex(
     if min(target.out_degrees) < 1 or min(target.in_degrees) < 1:
         raise ValueError("target must have minimum in- and out-degree >= 1")
     along = grid.directions(orientation)
+    # the table as a list, filled on first use: entry (c0, ca, (b0, b1, b2))
+    # sits at (c0 * k + ca) << 3 | b0 << 2 | b1 << 1 | b2, so a pair step
+    # builds no key, and a call costs at most one table lookup per key
+    k = target.order
+    walks: list[tuple[int, int] | None] = [None] * (k * k << 3)
 
     # a greedy step takes the lowest color adjacent in the required direction
     lowest_out = [(m & -m).bit_length() - 1 for m in target.out_masks]
@@ -131,11 +136,18 @@ def color_hex(
             colors[v] = lowest_out[colors[a]] if along[e] == same else lowest_in[colors[a]]
             continue
         v0, v1, v2, a, e0, s0, e1, s1, e2, s2 = step
-        # True/False hash and compare equal to the table's 1/0 pattern bits
-        pat = (along[e0] == s0, along[e1] == s1, along[e2] == s2)
-        entry = table.get((colors[v0], colors[a], pat))
+        i = (
+            (colors[v0] * k + colors[a]) << 3
+            | (along[e0] == s0) << 2
+            | (along[e1] == s1) << 1
+            | (along[e2] == s2)
+        )
+        entry = walks[i]
         if entry is None:
-            raise RuntimeError("path table is missing a required entry")
+            # PATTERNS lists the patterns in the order of their three bits
+            entry = walks[i] = table.get((colors[v0], colors[a], PATTERNS[i & 7]))
+            if entry is None:
+                raise RuntimeError("path table is missing a required entry")
         colors[v1], colors[v2] = entry
 
     out = target.out_masks

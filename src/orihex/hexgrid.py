@@ -26,7 +26,13 @@ from importlib import resources
 from operator import eq, or_
 from typing import Iterable
 
-from .digraph import OrientedGraph, UndirectedGraph, parse_graph_file, random_orientation
+from .digraph import (
+    MAX_VERTICES,
+    OrientedGraph,
+    UndirectedGraph,
+    parse_graph_file,
+    random_orientation,
+)
 
 _CLASS2_OFFSETS = frozenset({(0, 1), (1, -1), (-1, 0)})
 _CLASS1_OFFSETS = frozenset({(0, -1), (-1, 1), (1, 0)})
@@ -156,10 +162,21 @@ def hex_row_span(m: int, n: int, i: int) -> tuple[int, int]:
     return max(1, i - 1), min(i + 2 * n, 2 * n + m)
 
 
+def hex_vertex_count(m: int, n: int) -> int:
+    """Vertices of the grid with m >= 1 rows of n >= 1 hexagons: the widths
+    of hex_row_span summed over its m + 1 rows, 2n + 1 in the first and
+    the last row and 2n + 2 in each of the m - 1 rows between them."""
+    return 2 * (m + 1) * (n + 1) - 2
+
+
 def build_hex_grid(m: int, n: int) -> HexGrid:
-    """Construct the hexagonal grid with m rows of n hexagons."""
+    """Construct the hexagonal grid with m rows of n hexagons; at most
+    MAX_VERTICES vertices."""
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be positive")
+    count = hex_vertex_count(m, n)
+    if count > MAX_VERTICES:
+        raise ValueError(f"a {m} x {n} grid has {count} vertices, over the limit {MAX_VERTICES}")
     coords = []
     for i in range(1, m + 2):
         lo, hi = hex_row_span(m, n, i)

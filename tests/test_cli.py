@@ -141,6 +141,7 @@ def test_usage_errors_exit_two(capsys):
         ("tourn list -k 7", "order 7 is outside the census range 0..6"),
         ("chi-o -g H4 --k-max 0", "k_max must be at least 1, got 0"),
         ("chi-o -g H4 --k-max -1", "k_max must be at least 1, got -1"),
+        ("hex gen -m 3000 -n 3000", "a 3000 x 3000 grid has 18012000 vertices, over the limit 1000000"),
     ],
 )
 def test_input_errors_print_one_line(capsys, tmp_path, argv, err):
@@ -149,6 +150,14 @@ def test_input_errors_print_one_line(capsys, tmp_path, argv, err):
     code, out, got = run(capsys, *argv.format(bad=bad).split())
     assert (code, out) == (2, "")
     assert got == f"error: {err.format(bad=bad)}\n"
+
+
+def test_vertex_limit_refuses_a_small_file_with_a_huge_header(capsys, tmp_path):
+    big = tmp_path / "big.digraph"
+    big.write_bytes(b"5000000 1\n1 2\n")
+    code, out, err = run(capsys, "hom", "check", "-g", str(big), "-t", "T5")
+    assert (code, out) == (2, "")
+    assert err == f"error: {big}: line 1: vertex count 5000000 exceeds the limit 1000000\n"
 
 
 def test_hex_gen_parses_and_is_deterministic(capsys):

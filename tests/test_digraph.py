@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+from orihex import digraph
 from orihex.digraph import (
+    MAX_VERTICES,
     ArcError,
     GraphFormatError,
     OrientedGraph,
@@ -13,6 +15,7 @@ from orihex.digraph import (
     enumerate_orientations,
     orient,
     parse_digraph,
+    parse_graph_file,
     random_orientation,
     serialize_digraph,
 )
@@ -66,12 +69,94 @@ def test_parse_packaged_h4_degree_bound():
         ("2 1\n1 2\ncoord 1 0\n", "coord line", 3),
         ("2 1\nx 2\n", "arc tail is not an integer", 2),
         ("2 1\n1 y\n", "arc head is not an integer", 2),
+        ("2 1\n" + "9" * 5000 + " 1\n", "arc tail is not an integer", 2),
     ],
 )
 def test_parse_errors_name_lines(text, fragment, line):
     with pytest.raises(GraphFormatError) as exc:
         parse_digraph(text)
     assert fragment in str(exc.value)
+    assert exc.value.line == line
+
+
+def _outcome(text):
+    """parse_graph_file's result, or its GraphFormatError's message without
+    the line prefix and its line; any other exception propagates."""
+    try:
+        return parse_graph_file(text)
+    except GraphFormatError as exc:
+        return re.sub(r"^line \d+: ", "", str(exc)), exc.line
+
+
+def _mutated(text, rng):
+    """One random fault, or none, in a canonical graph file."""
+    lines = [line.split(" ") for line in text.splitlines()]
+    i = rng.randrange(len(lines))
+    j = rng.randrange(len(lines[i]))
+    kind = rng.randrange(10)
+    if kind == 0:
+        return text[: rng.randrange(1, len(text))]
+    if kind == 1:
+        k = rng.randrange(len(lines))
+        l = rng.randrange(len(lines[k]))
+        lines[i][j], lines[k][l] = lines[k][l], lines[i][j]
+    elif kind == 2:
+        del lines[i][j]
+    elif kind == 3:
+        lines.insert(rng.randrange(len(lines) + 1), list(lines[i]))
+    elif kind == 4:
+        lines[i][j] = rng.choice(["0", f"-{rng.randint(1, 9)}", "7" * 5000])
+    elif kind == 5:
+        lines.insert(1, list(lines[0]))
+    elif kind == 6:
+        lines[i][j] = lines[i][j][:-1] + "\u0663"
+    elif kind == 7:
+        return text.replace("\n", "\r\n")
+    elif kind == 8:
+        lines[i][j] = str(int(lines[i][j]) + rng.randint(1, 3))
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+def test_bulk_read_agrees_with_the_line_walk():
+    """Canonical files and their mutants read as they do behind a comment
+    line, which forces the line walk: the same graph and coords, or the
+    same error one line lower."""
+    rng = random.Random(11)
+    grid = build_hex_grid(3, 3)
+    sources = [serialize_digraph(random_orientation(grid.graph, seed)) for seed in range(3)]
+    for _ in range(20):
+        n = rng.randint(1, 9)
+        pairs = list(itertools.combinations(range(n), 2))
+        rng.shuffle(pairs)
+        arcs = tuple(
+            (u, v) if rng.random() < 0.5 else (v, u)
+            for (u, v) in pairs[: rng.randint(0, len(pairs))]
+        )
+        sources.append(serialize_digraph(OrientedGraph(n, arcs)))
+    bulk_read, bulk_refused = 0, 0
+    for _ in range(600):
+        text = _mutated(rng.choice(sources), rng)
+        got, walked = _outcome(text), _outcome("# x\n" + text)
+        if isinstance(walked[0], OrientedGraph):
+            assert got == walked
+        else:
+            message, line = walked
+            assert got == (message, None if line is None else line - 1)
+        if digraph._CANONICAL.fullmatch(text):
+            if isinstance(got[0], OrientedGraph):
+                bulk_read += 1
+            else:
+                bulk_refused += 1
+    assert bulk_read > 50 and bulk_refused > 50
+
+
+@pytest.mark.parametrize("prefix,line", [("", 1), ("# c\n", 2)])
+def test_vertex_limit_checked_at_the_header(prefix, line):
+    assert parse_digraph(f"{prefix}{MAX_VERTICES} 0\n").n_vertices == MAX_VERTICES
+    with pytest.raises(GraphFormatError) as exc:
+        parse_digraph(f"{prefix}{MAX_VERTICES + 1} 1\n1 2\n")
+    message = f"vertex count {MAX_VERTICES + 1} exceeds the limit {MAX_VERTICES}"
+    assert str(exc.value) == f"line {line}: {message}"
     assert exc.value.line == line
 
 

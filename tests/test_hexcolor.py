@@ -268,6 +268,17 @@ def test_color_hex_rejects_unsuitable_target():
         color_hex(grid, oriented, parse_tournament("0000000000", 5))
 
 
+def test_color_hex_checks_degrees_when_passed_a_table():
+    """A passed table skips path_table's walk-property check, so the
+    degree precondition is what refuses a target with a sink: a 3-cycle
+    dominating a fourth vertex."""
+    t = Tournament.from_arcs(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
+    assert (t.out_degrees, t.in_degrees) == ((2, 2, 2, 0), (1, 1, 1, 3))
+    grid = build_hex_grid(1, 1)
+    with pytest.raises(ValueError, match=r"^target must have minimum in- and out-degree >= 1$"):
+        color_hex(grid, random_orientation(grid.graph, 0), t, a6_path_table())
+
+
 def test_a6_path_table_is_the_cached_path_table():
     assert path_table(fixture_a6()) is a6_path_table()
 

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from orihex.digraph import OrientedGraph, UndirectedGraph, random_orientation
+from orihex.digraph import MAX_VERTICES, OrientedGraph, UndirectedGraph, random_orientation
 from orihex.hexgrid import (
     AxialFixture,
     HexGrid,
@@ -12,6 +12,8 @@ from orihex.hexgrid import (
     fixture_file_bytes,
     fixture_h4,
     fixture_h49,
+    hex_row_span,
+    hex_vertex_count,
     load_fixture,
     orientation_extending,
     place_fixture,
@@ -67,6 +69,22 @@ def test_single_row_closed_forms(n):
     grid = build_hex_grid(1, n)
     assert grid.graph.n_vertices == 4 * n + 2
     assert len(grid.graph.edges) == 5 * n + 1
+
+
+def test_vertex_count_sums_the_row_spans():
+    for m in range(1, 13):
+        for n in range(1, 13):
+            spans = [hex_row_span(m, n, i) for i in range(1, m + 2)]
+            count = sum(hi - lo + 1 for lo, hi in spans)
+            assert hex_vertex_count(m, n) == count == build_hex_grid(m, n).graph.n_vertices
+
+
+def test_vertex_limit_refuses_a_grid_before_building_it():
+    assert hex_vertex_count(706, 706) <= MAX_VERTICES < hex_vertex_count(706, 707)
+    with pytest.raises(ValueError, match=r"^a 706 x 707 grid has 1001110 vertices, over the limit 1000000$"):
+        build_hex_grid(706, 707)
+    with pytest.raises(ValueError, match="over the limit"):
+        build_hex_grid(10**15, 10**15)
 
 
 def test_bad_dimensions():
