@@ -97,9 +97,9 @@ def _mutated(text, rng):
     if kind == 0:
         return text[: rng.randrange(1, len(text))]
     if kind == 1:
-        k = rng.randrange(len(lines))
-        l = rng.randrange(len(lines[k]))
-        lines[i][j], lines[k][l] = lines[k][l], lines[i][j]
+        i2 = rng.randrange(len(lines))
+        j2 = rng.randrange(len(lines[i2]))
+        lines[i][j], lines[i2][j2] = lines[i2][j2], lines[i][j]
     elif kind == 2:
         del lines[i][j]
     elif kind == 3:

@@ -353,3 +353,5 @@ def test_certificate_for_placed_h4():
 def test_patterns_constant():
     assert len(PATTERNS) == 8
     assert len(set(PATTERNS)) == 8
+    # color_hex's walk list finds a pattern by its bits at PATTERNS[b0 << 2 | b1 << 1 | b2]
+    assert all(pat == (i >> 2 & 1, i >> 1 & 1, i & 1) for i, pat in enumerate(PATTERNS))
