@@ -180,10 +180,14 @@ class OrientedGraph:
 
 
 def _parse_int(tok: str, what: str, line: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise GraphFormatError(f"{what} is not an integer: {tok!r}", line) from None
+    """The line walk's one number reader: ASCII digits after an optional
+    '-'. int alone would also take '+1', '1_0' and non-ASCII digits."""
+    if tok.isascii() and tok.removeprefix("-").isdigit():
+        try:
+            return int(tok)
+        except ValueError:
+            pass  # more digits than int converts
+    raise GraphFormatError(f"{what} is not an integer: {tok!r}", line)
 
 
 def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int]]]:
@@ -191,9 +195,9 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     bindings from optional ``coord u a b`` lines (keys 0-based).
 
     Format: a header line "N M", then M lines "u v" (arc u -> v, 1-based).
-    Lines starting with '#' and blank lines are ignored. N may be at most
-    MAX_VERTICES. Arcs are checked by OrientedGraph; a bad one is reported
-    with its line.
+    Numbers are ASCII digits, a '-' allowed before them. Lines starting
+    with '#' and blank lines are ignored. N may be at most MAX_VERTICES.
+    Arcs are checked by OrientedGraph; a bad one is reported with its line.
 
     A file in the canonical form serialize_digraph writes is read in bulk:
     one split, int over the tokens, arcs paired from that iterator. Any
@@ -222,16 +226,6 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     coords: dict[int, tuple[int, int]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         toks = raw.split()
-        # the common case first: an arc line after the header; any other
-        # line falls through to the branches below, which name its fault
-        if len(toks) == 2 and header is not None:
-            try:
-                arcs.append((int(toks[0]) - 1, int(toks[1]) - 1))
-            except ValueError:
-                pass
-            else:
-                arc_lines.append(lineno)
-                continue
         if not toks or toks[0].startswith("#"):
             continue
         if header is None:
@@ -245,10 +239,10 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
                 raise GraphFormatError(f"vertex count {n} exceeds the limit {MAX_VERTICES}", lineno)
             header = (n, m)
             continue
-        n, m = header
         if toks[0] == "coord":
             if len(toks) != 4:
                 raise GraphFormatError("coord line must be 'coord u a b'", lineno)
+            n = header[0]
             u = _parse_int(toks[1], "coord vertex", lineno)
             if not (1 <= u <= n):
                 raise GraphFormatError(f"coord vertex {u} out of range 1..{n}", lineno)
@@ -260,9 +254,10 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
             continue
         if len(toks) != 2:
             raise GraphFormatError("arc line must be 'u v'", lineno)
-        # the fast branch took this line if both tokens parse, so one raises
-        _parse_int(toks[0], "arc tail", lineno)
-        _parse_int(toks[1], "arc head", lineno)
+        tail = _parse_int(toks[0], "arc tail", lineno)
+        head = _parse_int(toks[1], "arc head", lineno)
+        arcs.append((tail - 1, head - 1))
+        arc_lines.append(lineno)
     if header is None:
         raise GraphFormatError("empty file: missing 'N M' header", 1)
     n, m = header

@@ -1,11 +1,13 @@
-"""Constructive 6-coloring of oriented hexagonal grids.
+"""Constructive 6-coloring of oriented hexagonal grids, into A6.
 
-The target tournament must satisfy the three-step path property: between
-any two (not necessarily distinct) vertices u, v there is a walk
+A6, the packaged order-6 tournament, has the three-step path property:
+between any two (not necessarily distinct) vertices u, v there is a walk
 u, x, y, v whose three steps follow any prescribed direction pattern,
-with consecutive vertices distinct. The witness table path_table builds
-once per target, by check_property1, then lets a single sweep color an
-arbitrary orientation of a hexagonal grid row by row:
+with consecutive vertices distinct. Among the tournaments of order at
+most 6, only A6's isomorphism class has it, so A6 is the one target.
+a6_path_table builds its witness table once per process, by
+check_property1, which lets a single sweep color an arbitrary
+orientation of a hexagonal grid row by row:
 
   * the first row is a path, colored greedily left to right;
   * each later row starts with one greedy choice against the vertex
@@ -16,10 +18,8 @@ arbitrary orientation of a hexagonal grid row by row:
 
 The steps are HexGrid.sweep, built once per grid object from its
 coordinates; the tests check for every m, n <= 30 that they constrain
-each grid edge exactly once.
-
-Greedy steps only need every target vertex to have in- and out-degree
-at least 1.
+each grid edge exactly once. Greedy steps need every vertex of A6 to
+have in- and out-degree at least 1, which it has.
 """
 
 from __future__ import annotations
@@ -85,49 +85,42 @@ def check_property1(t: Tournament, include_equal_endpoints: bool = True) -> Prop
 
 
 @cache
-def path_table(t: Tournament) -> PathTable:
-    """color_hex's witness table for target t, equal endpoints included;
-    ValueError when t lacks the three-step path property."""
-    check = check_property1(t, include_equal_endpoints=True)
+def a6_path_table() -> tuple[tuple[int, int], ...]:
+    """color_hex's walk table, built once per process: the witness (x, y)
+    of the walk c0, x, y, ca in A6 with pattern (b0, b1, b2), equal
+    endpoints included, at index (c0 * 6 + ca) << 3 | b0 << 2 | b1 << 1 | b2.
+    ValueError when A6 lacks the three-step path property."""
+    check = check_property1(fixture_a6(), include_equal_endpoints=True)
     if not check.holds:
-        raise ValueError("target lacks the three-step path property")
-    return check.table
-
-
-def a6_path_table() -> PathTable:
-    """Witness table of the packaged order-6 target."""
-    return path_table(fixture_a6())
+        raise ValueError("A6 lacks the three-step path property")
+    # PATTERNS lists the patterns in the order of their three bits
+    return tuple(check.table[(u, v, pat)] for u in range(6) for v in range(6) for pat in PATTERNS)
 
 
 def color_hex(
     grid: HexGrid,
     orientation: OrientedGraph,
     target: Tournament | None = None,
-    table: PathTable | None = None,
+    table: tuple[tuple[int, int], ...] | None = None,
 ) -> tuple[int, ...]:
-    """Color an orientation of the grid by a homomorphism into the target.
+    """Color an orientation of the grid by a homomorphism into A6.
 
-    The orientation must assign one direction to each grid edge. The table
-    must be path_table(target), its default; the target defaults to the
-    packaged order-6 one. The result is deterministic and always a valid
+    The orientation must assign one direction to each grid edge. target and
+    table may only be None, fixture_a6() and a6_path_table(); anything else
+    raises ValueError. The result is deterministic and always a valid
     homomorphism.
     """
-    if target is None:
-        target = fixture_a6()
-    if table is None:
-        table = path_table(target)
-    if min(target.out_degrees) < 1 or min(target.in_degrees) < 1:
-        raise ValueError("target must have minimum in- and out-degree >= 1")
+    a6, walks = fixture_a6(), a6_path_table()
+    if target not in (None, a6) or table not in (None, walks):
+        raise ValueError(
+            "color_hex colors into A6 only: target and table must be None, "
+            "fixture_a6() and a6_path_table()"
+        )
     along = grid.directions(orientation)
-    # the table as a list, filled on first use: entry (c0, ca, (b0, b1, b2))
-    # sits at (c0 * k + ca) << 3 | b0 << 2 | b1 << 1 | b2, so a pair step
-    # builds no key, and a call costs at most one table lookup per key
-    k = target.order
-    walks: list[tuple[int, int] | None] = [None] * (k * k << 3)
 
     # a greedy step takes the lowest color adjacent in the required direction
-    lowest_out = [(m & -m).bit_length() - 1 for m in target.out_masks]
-    lowest_in = [(m & -m).bit_length() - 1 for m in target.in_masks]
+    lowest_out = [(m & -m).bit_length() - 1 for m in a6.out_masks]
+    lowest_in = [(m & -m).bit_length() - 1 for m in a6.in_masks]
     colors = [0] * orientation.n_vertices
     for step in grid.sweep:
         # an edge points the step's way when its direction bit equals its flag
@@ -136,21 +129,14 @@ def color_hex(
             colors[v] = lowest_out[colors[a]] if along[e] == same else lowest_in[colors[a]]
             continue
         v0, v1, v2, a, e0, s0, e1, s1, e2, s2 = step
-        i = (
-            (colors[v0] * k + colors[a]) << 3
+        colors[v1], colors[v2] = walks[
+            (colors[v0] * 6 + colors[a]) << 3
             | (along[e0] == s0) << 2
             | (along[e1] == s1) << 1
             | (along[e2] == s2)
-        )
-        entry = walks[i]
-        if entry is None:
-            # PATTERNS lists the patterns in the order of their three bits
-            entry = walks[i] = table.get((colors[v0], colors[a], PATTERNS[i & 7]))
-            if entry is None:
-                raise RuntimeError("path table is missing a required entry")
-        colors[v1], colors[v2] = entry
+        ]
 
-    out = target.out_masks
+    out = a6.out_masks
     if not all(out[colors[u]] >> colors[v] & 1 for (u, v) in orientation.arcs):
         raise RuntimeError("internal error: coloring violates an arc")
     return tuple(colors)

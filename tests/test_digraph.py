@@ -70,6 +70,9 @@ def test_parse_packaged_h4_degree_bound():
         ("2 1\nx 2\n", "arc tail is not an integer", 2),
         ("2 1\n1 y\n", "arc head is not an integer", 2),
         ("2 1\n" + "9" * 5000 + " 1\n", "arc tail is not an integer", 2),
+        ("2 1\n+1 2\n", "arc tail is not an integer", 2),
+        ("12 1\n1_0 2\n", "arc tail is not an integer", 2),
+        ("2 1\n\u0661 2\n", "arc tail is not an integer", 2),
     ],
 )
 def test_parse_errors_name_lines(text, fragment, line):

@@ -15,7 +15,6 @@ from orihex.hexcolor import (
     a6_path_table,
     check_property1,
     color_hex,
-    path_table,
 )
 from orihex.hexgrid import (
     HexGrid,
@@ -27,6 +26,7 @@ from orihex.hexgrid import (
 from orihex.homomorphism import validate_homomorphism
 from orihex.tournaments import (
     Tournament,
+    canonical_form,
     enumerate_tournaments,
     fixture_a6,
     named_tournament,
@@ -61,9 +61,19 @@ def test_three_cycle_missing_case():
 
 
 def test_table_entries_replay_against_arcs():
+    """Every witness of check_property1's table, and every entry of
+    color_hex's table, whose index (c0 * 6 + ca) << 3 | b0 << 2 | b1 << 1 | b2
+    names the walk c0, x, y, ca and its pattern, follows A6's arcs."""
     check = check_property1(A6, include_equal_endpoints=True)
-    for (u, v, pat), (x, y) in check.table.items():
-        walk = (u, x, y, v)
+    walks = [((u, x, y, v), pat) for (u, v, pat), (x, y) in check.table.items()]
+    table = a6_path_table()
+    assert len(table) == 288 and a6_path_table() is table
+    walks += [
+        (((i >> 3) // 6, x, y, (i >> 3) % 6), (i >> 2 & 1, i >> 1 & 1, i & 1))
+        for i, (x, y) in enumerate(table)
+    ]
+    for walk, pat in walks:
+        u, x, y, v = walk
         assert x != u and y != x and v != y
         for step, bit in enumerate(pat):
             a, b = walk[step], walk[step + 1]
@@ -227,38 +237,40 @@ def test_color_hex_rejects_mismatched_orientation():
 
 
 def _bad_entry_breaking_one_arc(grid):
-    """An orientation of the grid, the table key its one pair step reads, a
-    wrong entry for that key, and the one arc that entry breaks; the arc is
-    not the orientation's last."""
+    """An orientation of the grid, the index of the table entry its one pair
+    step reads, a wrong entry for that index, and the one arc that entry
+    breaks; the arc is not the orientation's last."""
     pair = grid.sweep[-1]
     assert len(pair) == 10 and all(len(step) == 4 for step in grid.sweep[:-1])
     v0, v1, v2, anchor = pair[:4]
     for oriented in enumerate_orientations(grid.graph):
         colors = list(color_hex(grid, oriented))
         arcs = oriented.arc_set
-        pat = ((v0, v1) in arcs, (v1, v2) in arcs, (v2, anchor) in arcs)
-        key = (colors[v0], colors[anchor], pat)
+        bits = ((v0, v1) in arcs) << 2 | ((v1, v2) in arcs) << 1 | ((v2, anchor) in arcs)
+        index = (colors[v0] * 6 + colors[anchor]) << 3 | bits
         for entry in itertools.product(range(6), repeat=2):
             colors[v1], colors[v2] = entry
             broken = [(u, v) for (u, v) in oriented.arcs if not A6.has_arc(colors[u], colors[v])]
             if len(broken) == 1 and broken[0] != oriented.arcs[-1]:
-                return oriented, key, entry, broken[0]
+                return oriented, index, entry, broken[0]
     raise AssertionError("no entry breaks exactly one arc")
 
 
-def test_color_hex_final_check_catches_a_bad_table_entry():
+def test_color_hex_final_check_catches_a_bad_table_entry(monkeypatch):
     """A wrong table entry whose coloring breaks one arc makes color_hex
     raise, with that arc listed last: arcs out of edge order, so the
     orientation is read through its arc set."""
     grid = build_hex_grid(1, 1)
-    table = a6_path_table()
-    oriented, key, entry, broken = _bad_entry_breaking_one_arc(grid)
-    assert table[key] != entry
+    oriented, index, entry, broken = _bad_entry_breaking_one_arc(grid)
+    table = list(a6_path_table())
+    assert table[index] != entry
     last = OrientedGraph(6, tuple(a for a in oriented.arcs if a != broken) + (broken,))
     assert last.arcs != oriented.arcs
-    assert color_hex(grid, last, A6, table) == color_hex(grid, oriented)
+    assert color_hex(grid, last) == color_hex(grid, oriented)
+    table[index] = entry
+    monkeypatch.setattr(hexcolor, "a6_path_table", lambda: tuple(table))
     with pytest.raises(RuntimeError, match=r"^internal error: coloring violates an arc$"):
-        color_hex(grid, last, A6, {**table, key: entry})
+        color_hex(grid, last)
 
 
 def test_color_hex_rejects_unsuitable_target():
@@ -268,45 +280,38 @@ def test_color_hex_rejects_unsuitable_target():
         color_hex(grid, oriented, parse_tournament("0000000000", 5))
 
 
-def test_color_hex_checks_degrees_when_passed_a_table():
-    """A passed table skips path_table's walk-property check, so the
-    degree precondition is what refuses a target with a sink: a 3-cycle
-    dominating a fourth vertex."""
-    t = Tournament.from_arcs(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3), (2, 3)])
-    assert (t.out_degrees, t.in_degrees) == ((2, 2, 2, 0), (1, 1, 1, 3))
+def test_color_hex_colors_into_a6_only():
+    """target and table take A6 and its table, as the positional call
+    color_hex(grid, g, A6, a6_path_table()) passes them, and nothing else:
+    not a relabeled A6, not T1 and not a dict table."""
     grid = build_hex_grid(1, 1)
-    with pytest.raises(ValueError, match=r"^target must have minimum in- and out-degree >= 1$"):
-        color_hex(grid, random_orientation(grid.graph, 0), t, a6_path_table())
+    oriented = random_orientation(grid.graph, 0)
+    assert color_hex(grid, oriented, A6, a6_path_table()) == color_hex(grid, oriented)
+    relabeled = parse_tournament("000110100001100", 6)
+    assert relabeled != A6 and canonical_form(relabeled) == canonical_form(A6)
+    table = check_property1(A6).table
+    for args in ((relabeled,), (named_tournament("T1"),), (A6, table), (None, table)):
+        with pytest.raises(ValueError, match=r"^color_hex colors into A6 only"):
+            color_hex(grid, oriented, *args)
 
 
-def test_a6_path_table_is_the_cached_path_table():
-    assert path_table(fixture_a6()) is a6_path_table()
+def test_a6_path_table_refuses_a_target_without_the_path_property(monkeypatch):
+    """The guard that keeps a table with holes from color_hex: built from a
+    tournament without the path property, a6_path_table raises."""
+    monkeypatch.setattr(hexcolor, "fixture_a6", lambda: parse_tournament("0" * 15, 6))
+    a6_path_table.cache_clear()
+    try:
+        with pytest.raises(ValueError, match=r"^A6 lacks the three-step path property$"):
+            a6_path_table()
+    finally:
+        a6_path_table.cache_clear()
 
 
-def test_path_table_rejects_target_without_path_property():
-    with pytest.raises(ValueError, match=r"^target lacks the three-step path property$"):
-        path_table(named_tournament("T1"))
-
-
-def test_color_hex_builds_a_passed_target_table_once(monkeypatch):
-    """A relabeled A6 (the only order-6 class with the path property) is
-    not the packaged target: color_hex builds its table through
-    path_table, once for every call."""
-    t = parse_tournament("000110100001100", 6)
-    assert t != A6
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return check_property1(*args, **kwargs)
-
-    monkeypatch.setattr(hexcolor, "check_property1", counted)
-    path_table.cache_clear()
-    grid = build_hex_grid(3, 3)
-    for seed in range(3):
-        oriented = random_orientation(grid.graph, seed)
-        assert validate_homomorphism(oriented, t, color_hex(grid, oriented, target=t))
-    assert len(calls) == 1
+def test_a6_is_the_only_class_with_the_path_property():
+    """color_hex's one target: among the tournaments of orders 2 to 6, only
+    A6's class has the three-step path property."""
+    holds = [t for k in range(2, 7) for t in enumerate_tournaments(k) if check_property1(t).holds]
+    assert [canonical_form(t) for t in holds] == [canonical_form(A6)]
 
 
 def test_color_hex_accepts_edges_listed_high_to_low():
@@ -353,5 +358,5 @@ def test_certificate_for_placed_h4():
 def test_patterns_constant():
     assert len(PATTERNS) == 8
     assert len(set(PATTERNS)) == 8
-    # color_hex's walk list finds a pattern by its bits at PATTERNS[b0 << 2 | b1 << 1 | b2]
+    # a6_path_table lists each endpoint pair's walks by their bits, b0 << 2 | b1 << 1 | b2
     assert all(pat == (i >> 2 & 1, i >> 1 & 1, i & 1) for i, pat in enumerate(PATTERNS))
