@@ -65,8 +65,8 @@ def _load_graph(name_or_path: str) -> OrientedGraph:
     if not path.is_file():
         raise ValueError(f"no such graph file: {name_or_path}")
     try:
-        return parse_digraph(path.read_text())
-    except GraphFormatError as exc:
+        return parse_digraph(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, GraphFormatError) as exc:
         raise ValueError(f"{name_or_path}: {exc}") from exc
 
 

@@ -5,19 +5,24 @@ Vertices are 0-based everywhere in memory; the text format is 1-based.
 All types are immutable after construction and safe to share across threads.
 
 Arcs are validated where they come from outside: by the public
-OrientedGraph constructor and so by the parser. orient,
+OrientedGraph constructor, and by the parser. The parser's line walk
+goes through the constructor; its bulk read of canonical files builds
+only pairs of vertices below n, so it checks the rest itself (vertex -1,
+loops, repeats and 2-cycles) with the constructor's own test. orient,
 enumerate_orientations and random_orientation build their graphs through
-_directed, which skips that check: one arc per edge of an already
+_directed, which skips the check: one arc per edge of an already
 validated UndirectedGraph can hold no bad endpoint, loop or repeat.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -49,14 +54,22 @@ class ArcError(ValueError):
         self.index, self.problem = index, problem
 
 
+def _loop_and_repeat_free(pairs: tuple[tuple[int, int], ...], reversed_pairs: Iterable) -> bool:
+    """True when no pair is a self-loop or repeats another pair in either
+    direction; reversed_pairs yields each pair reversed.
+
+    C-level set work only: a self-loop (u, u) is its own reverse, so the
+    reversed pairs meet the set exactly at self-loops, 2-cycles and
+    reversed duplicates.
+    """
+    pair_set = set(pairs)
+    return len(pair_set) == len(pairs) and pair_set.isdisjoint(reversed_pairs)
+
+
 def _is_simple(n_vertices: int, pairs: tuple[tuple[int, int], ...]) -> bool:
     """True when every item is a pair, every endpoint lies in
     0..n_vertices-1, and no pair is a self-loop or repeats another pair in
-    either direction.
-
-    One pass of C-level set and min/max work over all pairs: a self-loop
-    (u, u) is its own reverse, so the reversed pairs meet the set exactly
-    at self-loops, 2-cycles and reversed duplicates.
+    either direction; one pass of C-level work over all pairs.
     """
     if not pairs:
         return True
@@ -66,8 +79,7 @@ def _is_simple(n_vertices: int, pairs: tuple[tuple[int, int], ...]) -> bool:
     heads = tuple(map(itemgetter(1), pairs))
     if min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n_vertices:
         return False
-    pair_set = set(pairs)
-    return len(pair_set) == len(pairs) and pair_set.isdisjoint(zip(heads, tails))
+    return _loop_and_repeat_free(pairs, zip(heads, tails))
 
 
 @dataclass(frozen=True)
@@ -179,6 +191,16 @@ class OrientedGraph:
         return tuple(order), frozenset(starts)
 
 
+def _unchecked(n_vertices: int, arcs: tuple[tuple[int, int], ...]) -> OrientedGraph:
+    """An OrientedGraph made without its arc check, for arcs whose source
+    already rules out every fault: made as build_hex_grid seeds
+    HexGrid.index, fields set on a bare instance with no __post_init__ run."""
+    graph = object.__new__(OrientedGraph)
+    object.__setattr__(graph, "n_vertices", n_vertices)
+    object.__setattr__(graph, "arcs", arcs)
+    return graph
+
+
 def _parse_int(tok: str, what: str, line: int) -> int:
     """The line walk's one number reader: ASCII digits after an optional
     '-'. int alone would also take '+1', '1_0' and non-ASCII digits."""
@@ -197,28 +219,35 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     Format: a header line "N M", then M lines "u v" (arc u -> v, 1-based).
     Numbers are ASCII digits, a '-' allowed before them. Lines starting
     with '#' and blank lines are ignored. N may be at most MAX_VERTICES.
-    Arcs are checked by OrientedGraph; a bad one is reported with its line.
+    A bad arc is reported with its line.
 
     A file in the canonical form serialize_digraph writes is read in bulk:
-    one split, int over the tokens, arcs paired from that iterator. Any
-    other file, and any canonical one the bulk read fails on, is walked
-    line by line, which names the fault and its line. So the graph, or the
-    error and its line, is the same either way.
+    with commas for separators it is one JSON array of numbers, decoded by
+    one json.loads, and the arcs are paired from that list. Pairing makes
+    only pairs, and a vertex past n fails its index, so the bulk read
+    checks the rest itself (a 0 token, loops, repeats and 2-cycles) with
+    OrientedGraph's own test, then builds the graph unchecked. Any other
+    file, and any canonical one that JSON refuses (leading zeros, a number
+    too long for int) or the bulk read fails on, is walked line by line
+    through the OrientedGraph constructor, which names the fault and its
+    line. So the graph, or the error and its line, is the same either way.
     """
     if _CANONICAL.fullmatch(text):
-        # bytes tokens take less memory than str ones, and int reads them faster
-        tokens = map(int, text.encode().split())
         try:
-            n, m = next(tokens), next(tokens)
-            if n <= MAX_VERTICES:
-                # token u names vertex u - 1; the arcs share one int per vertex
-                vertices = map(list(range(-1, n)).__getitem__, tokens)
-                pairs = tuple(zip(vertices, vertices))
-                if len(pairs) == m:
-                    return OrientedGraph(n, pairs), {}
+            tokens = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
+            n, m = tokens[0], tokens[1]
+            if n <= MAX_VERTICES and len(tokens) == 2 * m + 2:
+                # token u names vertex u - 1, so token 0 reads as -1 and a
+                # token past n raises IndexError; the arcs share one int per vertex
+                vertices = list(map(list(range(-1, n)).__getitem__, islice(tokens, 2, None)))
+                del tokens
+                pairs = tuple(zip(islice(vertices, 0, None, 2), islice(vertices, 1, None, 2)))
+                reversed_pairs = zip(islice(vertices, 1, None, 2), islice(vertices, 0, None, 2))
+                if -1 not in vertices and _loop_and_repeat_free(pairs, reversed_pairs):
+                    return _unchecked(n, pairs), {}
         except (ValueError, IndexError):
-            # a number too long for int, a vertex past n or a bad arc
-            # (ArcError): the walk below names the fault and its line
+            # JSON's refusal, or a vertex past n: the walk below reads the
+            # file or names the fault and its line
             pass
     header: tuple[int, int] | None = None
     arcs: list[tuple[int, int]] = []
@@ -294,18 +323,12 @@ def _normalize_code(code: Iterable[int] | str) -> tuple[int, ...]:
 
 def _directed(g: UndirectedGraph, bits: Iterable[int]) -> OrientedGraph:
     """Direct edge i of g by bits[i] (1: first endpoint dominates), one bit
-    per edge, without OrientedGraph's arc check.
-
-    g's own check already rules out every fault an arc could have here,
-    so the graph is made as build_hex_grid seeds HexGrid.index: fields set
-    on a bare instance, with no __post_init__ run.
+    per edge, without OrientedGraph's arc check: g's own check already
+    rules out every fault an arc could have here.
     """
     # a forward arc is the edge's own tuple, so only reversed arcs are new objects
     arcs = tuple([e if b else (e[1], e[0]) for (e, b) in zip(g.edges, bits)])
-    graph = object.__new__(OrientedGraph)
-    object.__setattr__(graph, "n_vertices", g.n_vertices)
-    object.__setattr__(graph, "arcs", arcs)
-    return graph
+    return _unchecked(g.n_vertices, arcs)
 
 
 def orient(g: UndirectedGraph, code: Iterable[int] | str) -> OrientedGraph:

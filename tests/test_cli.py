@@ -160,6 +160,76 @@ def test_vertex_limit_refuses_a_small_file_with_a_huge_header(capsys, tmp_path):
     assert err == f"error: {big}: line 1: vertex count 5000000 exceeds the limit 1000000\n"
 
 
+def test_undecodable_graph_file_names_its_path(capsys, tmp_path):
+    bad = tmp_path / "bad.digraph"
+    bad.write_bytes(b"2 1\n1 2\n# \xff\n")
+    code, out, err = run(capsys, "hom", "check", "-g", str(bad), "-t", "T5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 10")
+    assert err.count("\n") == 1
+
+
+def _fuzzed(data: bytes, rng: random.Random) -> bytes:
+    """One random fault in a small canonical graph file."""
+    lines = [line.split(b" ") for line in data.splitlines()]
+    i = rng.randrange(len(lines))
+    j = rng.randrange(len(lines[i]))
+    kind = rng.randrange(7)
+    if kind == 0:
+        return data[: rng.randrange(len(data))]
+    if kind == 1:
+        i2 = rng.randrange(len(lines))
+        j2 = rng.randrange(len(lines[i2]))
+        lines[i][j], lines[i2][j2] = lines[i2][j2], lines[i][j]
+    elif kind == 2:
+        lines[i][j] = rng.choice([b"9" * 5000, b"5000000", b"99999999999", b"-1", b"0"])
+    elif kind == 3:
+        lines.insert(rng.randrange(len(lines) + 1), list(lines[0]))
+    elif kind == 4:
+        lines[i][j] = lines[i][j][:-1] + "\u0663".encode()
+    elif kind == 5:
+        lines[i][j] = b"0" + lines[i][j]
+    elif kind == 6:
+        lines[i][j] = b"\xff"
+    return b"".join(b" ".join(line) + b"\n" for line in lines)
+
+
+FILE_COMMANDS = [
+    "hom check -g {f} -t T5",
+    "hom check -g {f} -t 2:1 --brute",
+    "chi-o -g {f}",
+    "export-opl -g {f} -t T5",
+    "color -m 1 -n 1 -g {f}",
+    "hex gen -m 1 -n 1 -g {f}",
+]
+
+
+def test_mutated_graph_files_exit_cleanly(capsys, tmp_path):
+    """Seeded fuzz of every command that reads a graph file: each mutant
+    of a small canonical file gives a verdict (0 or 1) with a quiet
+    stderr, or exit 2 with exactly one "error: " line, and never a
+    traceback or exit 3."""
+    rng = random.Random(19)
+    sources = []
+    for seed in range(3):
+        code, text, _ = run(capsys, "hex", "gen", "-m", "1", "-n", "1", "--seed", str(seed))
+        assert code == 0
+        sources.append(text.encode())
+    f = tmp_path / "fuzz.digraph"
+    codes = set()
+    for _ in range(40):
+        f.write_bytes(_fuzzed(rng.choice(sources), rng))
+        for command in FILE_COMMANDS:
+            code, _, err = run(capsys, *command.format(f=f).split())
+            codes.add(code)
+            assert "Traceback" not in err
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, (command, err)
+            else:
+                assert code in (0, 1) and err == "", (command, code, err)
+    assert codes == {0, 1, 2}
+
+
 def test_hex_gen_parses_and_is_deterministic(capsys):
     code, out, _ = run(capsys, "hex", "gen", "-m", "3", "-n", "4", "--seed", "6")
     assert code == 0

@@ -61,6 +61,7 @@ def test_parse_packaged_h4_degree_bound():
         ("x 1\n1 2", "not an integer", 1),
         ("2 1\n1\n", "arc line", 2),
         ("2 1\n1 3\n", "out of range", 2),
+        ("2 1\n0 2\n", "out of range", 2),
         ("2 1\n1 1\n", "self-loop", 2),
         ("2 2\n1 2\n1 2\n", "duplicate arc", 3),
         ("2 2\n1 2\n2 1\n", "2-cycle", 3),
@@ -82,6 +83,13 @@ def test_parse_errors_name_lines(text, fragment, line):
     assert exc.value.line == line
 
 
+def test_parse_reads_leading_zeros():
+    """JSON refuses a leading zero, so the bulk read hands such a
+    canonical file to the line walk, which reads 01 as 1."""
+    assert parse_digraph("2 1\n01 2\n") == OrientedGraph(2, ((0, 1),))
+    assert parse_digraph("02 01\n2 001\n") == OrientedGraph(2, ((1, 0),))
+
+
 def _outcome(text):
     """parse_graph_file's result, or its GraphFormatError's message without
     the line prefix and its line; any other exception propagates."""
@@ -96,7 +104,7 @@ def _mutated(text, rng):
     lines = [line.split(" ") for line in text.splitlines()]
     i = rng.randrange(len(lines))
     j = rng.randrange(len(lines[i]))
-    kind = rng.randrange(10)
+    kind = rng.randrange(11)
     if kind == 0:
         return text[: rng.randrange(1, len(text))]
     if kind == 1:
@@ -117,13 +125,16 @@ def _mutated(text, rng):
         return text.replace("\n", "\r\n")
     elif kind == 8:
         lines[i][j] = str(int(lines[i][j]) + rng.randint(1, 3))
+    elif kind == 9:
+        lines[i][j] = "0" + lines[i][j]
     return "".join(" ".join(line) + "\n" for line in lines)
 
 
 def test_bulk_read_agrees_with_the_line_walk():
     """Canonical files and their mutants read as they do behind a comment
     line, which forces the line walk: the same graph and coords, or the
-    same error one line lower."""
+    same error one line lower. Canonical texts with a leading zero, which
+    JSON refuses, must reach the walk and read as it reads them."""
     rng = random.Random(11)
     grid = build_hex_grid(3, 3)
     sources = [serialize_digraph(random_orientation(grid.graph, seed)) for seed in range(3)]
@@ -136,7 +147,7 @@ def test_bulk_read_agrees_with_the_line_walk():
             for (u, v) in pairs[: rng.randint(0, len(pairs))]
         )
         sources.append(serialize_digraph(OrientedGraph(n, arcs)))
-    bulk_read, bulk_refused = 0, 0
+    bulk_read, bulk_refused, zero_led = 0, 0, 0
     for _ in range(600):
         text = _mutated(rng.choice(sources), rng)
         got, walked = _outcome(text), _outcome("# x\n" + text)
@@ -148,9 +159,10 @@ def test_bulk_read_agrees_with_the_line_walk():
         if digraph._CANONICAL.fullmatch(text):
             if isinstance(got[0], OrientedGraph):
                 bulk_read += 1
+                zero_led += re.search(r"(?<![0-9])0[0-9]", text) is not None
             else:
                 bulk_refused += 1
-    assert bulk_read > 50 and bulk_refused > 50
+    assert bulk_read > 50 and bulk_refused > 50 and zero_led > 10
 
 
 @pytest.mark.parametrize("prefix,line", [("", 1), ("# c\n", 2)])
