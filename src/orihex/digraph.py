@@ -240,7 +240,7 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
                 # token u names vertex u - 1, so token 0 reads as -1 and a
                 # token past n raises IndexError; the arcs share one int per vertex
                 vertices = list(map(list(range(-1, n)).__getitem__, islice(tokens, 2, None)))
-                del tokens
+                del tokens  # freed before the pairs and their set are built
                 pairs = tuple(zip(islice(vertices, 0, None, 2), islice(vertices, 1, None, 2)))
                 reversed_pairs = zip(islice(vertices, 1, None, 2), islice(vertices, 0, None, 2))
                 if -1 not in vertices and _loop_and_repeat_free(pairs, reversed_pairs):
