@@ -93,7 +93,7 @@ def _cmd_hex_gen(args) -> int:
     grid, oriented = _grid_orientation(args)
     if args.graph is not None:
         # seeded and coded orientations direct the grid's edges by construction
-        grid.check_orientation(oriented)
+        grid.directions(oriented)
     sys.stdout.write(serialize_digraph(oriented))
     return 0
 

@@ -217,9 +217,10 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     bindings from optional ``coord u a b`` lines (keys 0-based).
 
     Format: a header line "N M", then M lines "u v" (arc u -> v, 1-based).
-    Numbers are ASCII digits, a '-' allowed before them. Lines starting
-    with '#' and blank lines are ignored. N may be at most MAX_VERTICES.
-    A bad arc is reported with its line.
+    A line ends at LF, CR LF or CR. Numbers are ASCII digits, a '-'
+    allowed before them. Lines starting with '#' and blank lines are
+    ignored. N may be at most MAX_VERTICES. A bad arc is reported with its
+    line.
 
     A file in the canonical form serialize_digraph writes is read in bulk:
     with commas for separators it is one JSON array of numbers, decoded by
@@ -253,7 +254,10 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     arcs: list[tuple[int, int]] = []
     arc_lines: list[int] = []
     coords: dict[int, tuple[int, int]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # lines end at "\n", "\r\n" or "\r" only: splitlines would also end one
+    # at "\f", "\v", "\x85" or U+2028, and read an arc out of a comment
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         toks = raw.split()
         if not toks or toks[0].startswith("#"):
             continue

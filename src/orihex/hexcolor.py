@@ -5,9 +5,9 @@ between any two (not necessarily distinct) vertices u, v there is a walk
 u, x, y, v whose three steps follow any prescribed direction pattern,
 with consecutive vertices distinct. Among the tournaments of order at
 most 6, only A6's isomorphism class has it, so A6 is the one target.
-a6_path_table builds its witness table once per process, by
-check_property1, which lets a single sweep color an arbitrary
-orientation of a hexagonal grid row by row:
+a6_path_table takes its witness table once per process from
+check_property1, in that table's one layout, which lets a single sweep
+color an arbitrary orientation of a hexagonal grid row by row:
 
   * the first row is a path, colored greedily left to right;
   * each later row starts with one greedy choice against the vertex
@@ -17,9 +17,10 @@ orientation of a hexagonal grid row by row:
   * a row's final vertex has no anchor above and is colored greedily.
 
 The steps are HexGrid.sweep, built once per grid object from its
-coordinates; the tests check for every m, n <= 30 that they constrain
-each grid edge exactly once. Greedy steps need every vertex of A6 to
-have in- and out-degree at least 1, which it has.
+coordinates and its edges, each listed from its smaller coordinate; the
+tests check for every m, n <= 30 that they constrain each grid edge
+exactly once. Greedy steps need every vertex of A6 to have in- and
+out-degree at least 1, which it has.
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ from .tournaments import Tournament, fixture_a6
 #: from the u-side toward the v-side
 OrientationPattern = tuple[int, int, int]
 
-PathTable = dict[tuple[int, int, OrientationPattern], tuple[int, int]]
-
-PATTERNS: tuple[OrientationPattern, ...] = tuple(
-    (b0, b1, b2) for b0 in (0, 1) for b1 in (0, 1) for b2 in (0, 1)
-)
-
 
 @dataclass(frozen=True)
 class Prop1Check:
@@ -48,7 +43,9 @@ class Prop1Check:
     unrealizable (u, v, pattern) triples otherwise."""
 
     holds: bool
-    table: PathTable
+    #: witness (x, y) of the walk u, x, y, v with pattern (b0, b1, b2), at
+    #: key (u * order + v) << 3 | b0 << 2 | b1 << 1 | b2, in key order
+    table: dict[int, tuple[int, int]]
     missing: tuple[tuple[int, int, OrientationPattern], ...]
 
 
@@ -65,36 +62,37 @@ def check_property1(t: Tournament, include_equal_endpoints: bool = True) -> Prop
         raise ValueError("target must have order >= 2")
     # step[1][a]: the vertices a dominates; step[0][a]: those dominating a
     step = (t.in_masks, t.out_masks)
-    table: PathTable = {}
+    table: dict[int, tuple[int, int]] = {}
     missing = []
     for u in range(t.order):
         for v in range(t.order):
             if u == v and not include_equal_endpoints:
                 continue
-            for pat in PATTERNS:
-                xs, ys = step[pat[0]][u], 0
+            for bits in range(8):
+                b0, b1, b2 = bits >> 2, bits >> 1 & 1, bits & 1
+                xs, ys = step[b0][u], 0
                 while xs and not ys:
                     x = (xs & -xs).bit_length() - 1
-                    ys = step[pat[1]][x] & step[1 - pat[2]][v]
+                    ys = step[b1][x] & step[1 - b2][v]
                     xs &= xs - 1
                 if ys:
-                    table[(u, v, pat)] = (x, (ys & -ys).bit_length() - 1)
+                    table[(u * t.order + v) << 3 | bits] = (x, (ys & -ys).bit_length() - 1)
                 else:
-                    missing.append((u, v, pat))
+                    missing.append((u, v, (b0, b1, b2)))
     return Prop1Check(not missing, table, tuple(missing))
 
 
 @cache
 def a6_path_table() -> tuple[tuple[int, int], ...]:
-    """color_hex's walk table, built once per process: the witness (x, y)
-    of the walk c0, x, y, ca in A6 with pattern (b0, b1, b2), equal
-    endpoints included, at index (c0 * 6 + ca) << 3 | b0 << 2 | b1 << 1 | b2.
-    ValueError when A6 lacks the three-step path property."""
+    """color_hex's walk table, built once per process: check_property1's
+    table for A6, equal endpoints included, as a tuple in key order, so
+    the witness of the walk c0, x, y, ca with pattern (b0, b1, b2) is at
+    index (c0 * 6 + ca) << 3 | b0 << 2 | b1 << 1 | b2. ValueError when
+    A6 lacks the three-step path property."""
     check = check_property1(fixture_a6(), include_equal_endpoints=True)
     if not check.holds:
         raise ValueError("A6 lacks the three-step path property")
-    # PATTERNS lists the patterns in the order of their three bits
-    return tuple(check.table[(u, v, pat)] for u in range(6) for v in range(6) for pat in PATTERNS)
+    return tuple(check.table.values())
 
 
 def color_hex(
@@ -123,17 +121,14 @@ def color_hex(
     lowest_in = [(m & -m).bit_length() - 1 for m in a6.in_masks]
     colors = [0] * orientation.n_vertices
     for step in grid.sweep:
-        # an edge points the step's way when its direction bit equals its flag
-        if len(step) == 4:
-            v, a, e, same = step
-            colors[v] = lowest_out[colors[a]] if along[e] == same else lowest_in[colors[a]]
+        if len(step) == 3:
+            v, a, e = step
+            colors[v] = lowest_out[colors[a]] if along[e] else lowest_in[colors[a]]
             continue
-        v0, v1, v2, a, e0, s0, e1, s1, e2, s2 = step
+        v0, v1, v2, a, e0, e1, e2 = step
+        # the walk crosses e2 from v2 up to the anchor, against its listing
         colors[v1], colors[v2] = walks[
-            (colors[v0] * 6 + colors[a]) << 3
-            | (along[e0] == s0) << 2
-            | (along[e1] == s1) << 1
-            | (along[e2] == s2)
+            (colors[v0] * 6 + colors[a]) << 3 | along[e0] << 2 | along[e1] << 1 | (not along[e2])
         ]
 
     out = a6.out_masks

@@ -52,7 +52,9 @@ class HexGrid:
     """Hexagonal grid: m rows of n hexagons, vertex v at coords[v] = (i, j).
 
     build_hex_grid numbers the vertices in row-major (i, j) order; the
-    sweep reads coordinates through index, so any numbering colors.
+    sweep reads coordinates through index, so any numbering colors. The
+    sweep needs each edge listed from its smaller coordinate, as
+    build_hex_grid lists them: (i, j) -> (i, j+1) and (i, j) -> (i+1, j).
     """
 
     m: int
@@ -94,25 +96,19 @@ class HexGrid:
                 raise ValueError("orientation must direct exactly the grid's edges")
         return along
 
-    def check_orientation(self, orientation: OrientedGraph) -> None:
-        """Raise ValueError unless orientation directs exactly this grid's edges."""
-        self.directions(orientation)
-
     @cached_property
     def sweep(self) -> tuple[tuple[int, ...], ...]:
         """The row sweep that colors any orientation, as steps over the vertices.
 
         Vertex (1, 1) keeps its initial color and has no step. A greedy step
-        (v, anchor, e, same) colors v against its colored neighbor anchor
-        across grid edge e. A pair step
-        (v0, v1, v2, anchor, e0, s0, e1, s1, e2, s2) colors v1, v2 by the
-        walk v0, v1, v2, anchor, whose anchor lies above v2; e0, e1, e2
-        are the walk's edges in order. Each flag (same, s0, s1, s2) is True
-        when its edge is listed in the step's direction: anchor -> v in a
-        greedy step; v0 -> v1, v1 -> v2 and v2 -> anchor in a pair step.
-        So an edge is directed the step's way exactly when its entry in
-        directions() equals its flag. The shape's invariants are checked
-        here.
+        (v, anchor, e) colors v against its colored neighbor anchor across
+        grid edge e, listed anchor -> v. A pair step
+        (v0, v1, v2, anchor, e0, e1, e2) colors v1, v2 by the walk
+        v0, v1, v2, anchor, whose anchor lies above v2; e0, e1, e2 are the
+        walk's edges in order, listed v0 -> v1, v1 -> v2 and anchor -> v2,
+        so the walk crosses e2 against its listing. RuntimeError when the
+        grid lacks an edge or lists it the other way. The shape's
+        invariants are checked here.
         """
         index, edges = self.index, self.graph.edges
         at = dict(zip(edges, range(len(edges))))
@@ -121,18 +117,14 @@ class HexGrid:
             # (i-1, j) has an edge down to (i, j) exactly when i-1+j is even
             return index.get((i - 1, j)) if (i - 1 + j) % 2 == 0 else None
 
-        def edge(u: int, v: int) -> tuple[int, bool]:
-            # the edge joining u and v, and True if it is listed as (u, v)
+        def edge(u: int, v: int) -> int:
             e = at.get((u, v))
-            if e is not None:
-                return e, True
-            e = at.get((v, u))
             if e is None:
-                raise RuntimeError(f"grid graph has no edge joining vertices {u} and {v}")
-            return e, False
+                raise RuntimeError(f"grid graph does not list the edge ({u}, {v})")
+            return e
 
-        def greedy(v: int, a: int) -> tuple[int, ...]:
-            return (v, a, *edge(a, v))
+        def greedy(v: int, a: int) -> tuple[int, int, int]:
+            return v, a, edge(a, v)
 
         lo, hi = hex_row_span(self.m, self.n, 1)
         steps: list[tuple[int, ...]] = [
@@ -147,8 +139,7 @@ class HexGrid:
             j = lo
             while j + 2 <= hi and (anchor := above(i, j + 2)) is not None:
                 v0, v1, v2 = index[(i, j)], index[(i, j + 1)], index[(i, j + 2)]
-                steps.append((v0, v1, v2, anchor, *edge(v0, v1), *edge(v1, v2),
-                              *edge(v2, anchor)))
+                steps.append((v0, v1, v2, anchor, edge(v0, v1), edge(v1, v2), edge(anchor, v2)))
                 j += 2
             for j in range(j + 1, hi + 1):
                 if above(i, j) is not None:

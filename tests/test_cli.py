@@ -169,6 +169,15 @@ def test_undecodable_graph_file_names_its_path(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+def test_form_feed_in_a_comment_does_not_end_the_line(capsys, tmp_path):
+    """A form feed inside a comment leaves the arc after it in the comment."""
+    path = tmp_path / "ff.digraph"
+    path.write_bytes(b"3 2\n1 2\n# see\f2 3\n")
+    code, out, err = run(capsys, "hom", "check", "-g", str(path), "-t", "T5", "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: header declares 2 arcs but file lists 1\n"
+
+
 def _fuzzed(data: bytes, rng: random.Random) -> bytes:
     """One random fault in a small canonical graph file."""
     lines = [line.split(b" ") for line in data.splitlines()]
@@ -357,12 +366,45 @@ def test_chi_o_json_sentinel(capsys, tmp_path):
     assert json.loads(out) == {"chi_o": None, "k_max": 1}
 
 
+#: the (u, v, pattern) triples the reverse transitive 5-tournament cannot
+#: realize, in prop1's order, each written as the five digits u v b0 b1 b2
+_T5_0_MISSING = """
+00000 00010 00100 00101 00110 00111 01000 01100 01101 01110 01111 02000
+02100 02101 02110 02111 03011 03100 03101 03110 03111 04001 04011 04100
+04101 04110 04111 10000 10010 10100 10110 10111 11000 11100 11110 11111
+12000 12110 12111 13000 13011 13110 13111 14001 14011 14101 14110 14111
+20000 20010 20100 20110 20111 21000 21100 21111 22000 22111 23000 23011
+23111 24000 24001 24011 24101 24111 30000 30001 30010 30100 30110 31000
+31001 31100 31111 32000 32001 32111 33000 33001 33011 33111 34000 34001
+34011 34101 34111 40000 40001 40010 40011 40100 40110 41000 41001 41010
+41011 41100 42000 42001 42010 42011 42111 43000 43001 43010 43011 43111
+44000 44001 44010 44011 44101 44111
+"""
+
+
 def test_prop1_exit_codes(capsys):
-    code, out, _ = run(capsys, "prop1", "-t", "A6")
-    assert code == 0
-    assert "holds" in out
-    code, out, _ = run(capsys, "prop1", "-t", "5:0000000000")
-    assert code == 1
+    """Exact prop1 output, text and JSON, with and without --distinct-only."""
+    missing = [[int(w[0]), int(w[1]), [int(b) for b in w[2:]]] for w in _T5_0_MISSING.split()]
+    distinct = [case for case in missing if case[0] != case[1]]
+    assert (len(missing), len(distinct)) == (114, 92)
+    expected = {
+        ("A6",): (0, "holds (288 cases)\n"),
+        ("A6", "--distinct-only"): (0, "holds (240 cases)\n"),
+        ("A6", "--json"): (0, '{"holds": true, "cases": 288, "missing": []}\n'),
+        ("A6", "--distinct-only", "--json"):
+            (0, '{"holds": true, "cases": 240, "missing": []}\n'),
+        ("5:0000000000",):
+            (1, "fails (114 unrealizable cases), first: (0, 0, (0, 0, 0))\n"),
+        ("5:0000000000", "--distinct-only"):
+            (1, "fails (92 unrealizable cases), first: (0, 1, (0, 0, 0))\n"),
+        ("5:0000000000", "--json"):
+            (1, json.dumps({"holds": False, "cases": 200, "missing": missing}) + "\n"),
+        ("5:0000000000", "--distinct-only", "--json"):
+            (1, json.dumps({"holds": False, "cases": 160, "missing": distinct}) + "\n"),
+    }
+    for (tournament, *flags), (want_code, want_out) in expected.items():
+        code, out, err = run(capsys, "prop1", "-t", tournament, *flags)
+        assert (code, out, err) == (want_code, want_out, ""), (tournament, flags)
 
 
 def test_export_opl_golden(capsys):

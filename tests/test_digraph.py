@@ -39,6 +39,15 @@ def test_parse_minimal():
 def test_parse_comments_and_blanks():
     g = parse_digraph("# header comment\n\n3 2\n1 2\n# mid comment\n3 2\n")
     assert g.arcs == ((0, 1), (2, 1))
+    # a line ends at LF, CR LF or CR only; any other line break stays inside
+    # its line, and so inside a comment
+    for text in (
+        "3 2\r\n1 2\r\n# c\r\n3 2\r\n",
+        "3 2\r1 2\r\r# c\r3 2",
+        "# a\fb\n3 2\n1 2\n# see\f2 3\n3 2\n",
+        "# a\u2028b\n3 2\n1 2\n# \v\x1c\x1d\x1e\x85\u20292 3\n3 2\n",
+    ):
+        assert parse_digraph(text).arcs == ((0, 1), (2, 1)), repr(text)
 
 
 def test_parse_preserves_arc_order():
@@ -74,6 +83,10 @@ def test_parse_packaged_h4_degree_bound():
         ("2 1\n+1 2\n", "arc tail is not an integer", 2),
         ("12 1\n1_0 2\n", "arc tail is not an integer", 2),
         ("2 1\n\u0661 2\n", "arc tail is not an integer", 2),
+        ("# a\fb\n2 1\n1 1\n", "self-loop", 3),
+        ("# a\r\n2 1\r\n1 1\r\n", "self-loop", 3),
+        ("# a\r2 1\r1 1\r", "self-loop", 3),
+        ("3 2\n1 2\n# see\f2 3\n", "declares 2 arcs", None),
     ],
 )
 def test_parse_errors_name_lines(text, fragment, line):

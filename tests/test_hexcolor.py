@@ -10,12 +10,7 @@ from orihex.digraph import (
     enumerate_orientations,
     random_orientation,
 )
-from orihex.hexcolor import (
-    PATTERNS,
-    a6_path_table,
-    check_property1,
-    color_hex,
-)
+from orihex.hexcolor import a6_path_table, check_property1, color_hex
 from orihex.hexgrid import (
     HexGrid,
     build_hex_grid,
@@ -61,14 +56,15 @@ def test_three_cycle_missing_case():
 
 
 def test_table_entries_replay_against_arcs():
-    """Every witness of check_property1's table, and every entry of
-    color_hex's table, whose index (c0 * 6 + ca) << 3 | b0 << 2 | b1 << 1 | b2
-    names the walk c0, x, y, ca and its pattern, follows A6's arcs."""
+    """Every witness of check_property1's table, whose key
+    (c0 * 6 + ca) << 3 | b0 << 2 | b1 << 1 | b2 names the walk c0, x, y, ca
+    and its pattern, follows A6's arcs; color_hex's table lists the same
+    witnesses at those indices."""
     check = check_property1(A6, include_equal_endpoints=True)
-    walks = [((u, x, y, v), pat) for (u, v, pat), (x, y) in check.table.items()]
+    assert list(check.table) == list(range(288))
     table = a6_path_table()
-    assert len(table) == 288 and a6_path_table() is table
-    walks += [
+    assert table == tuple(check.table.values()) and a6_path_table() is table
+    walks = [
         (((i >> 3) // 6, x, y, (i >> 3) % 6), (i >> 2 & 1, i >> 1 & 1, i & 1))
         for i, (x, y) in enumerate(table)
     ]
@@ -82,7 +78,8 @@ def test_table_entries_replay_against_arcs():
 
 def _reference_property1(t, include_equal_endpoints):
     """The nested-loop walk search that check_property1 replaced, kept as
-    an independent reference: (holds, table items in order, missing)."""
+    an independent reference: (holds, table items in order, missing), the
+    table keyed by (u * order + v) << 3 | b0 << 2 | b1 << 1 | b2."""
 
     def step_ok(a, b, forward):
         return t.has_arc(a, b) if forward else t.has_arc(b, a)
@@ -92,7 +89,7 @@ def _reference_property1(t, include_equal_endpoints):
         for v in range(t.order):
             if u == v and not include_equal_endpoints:
                 continue
-            for pat in PATTERNS:
+            for pat in itertools.product((0, 1), repeat=3):
                 found = None
                 for x in range(t.order):
                     if x == u or not step_ok(u, x, pat[0]):
@@ -106,7 +103,8 @@ def _reference_property1(t, include_equal_endpoints):
                     if found:
                         break
                 if found:
-                    table.append(((u, v, pat), found))
+                    key = (u * t.order + v) << 3 | pat[0] << 2 | pat[1] << 1 | pat[2]
+                    table.append((key, found))
                 else:
                     missing.append((u, v, pat))
     return not missing, table, tuple(missing)
@@ -154,20 +152,19 @@ def test_coloring_deterministic():
 
 
 def _names_its_edges(grid, walked):
-    """Each (x, y, e, same) names the edge it walks: grid edge e, listed
-    as (x, y) when same is True and as (y, x) otherwise."""
+    """Each (x, y, e) names the edge it constrains: grid edge e, listed as (x, y)."""
     edges = grid.graph.edges
-    return all(edges[e] == ((x, y) if same else (y, x)) for (x, y, e, same) in walked)
+    return all(edges[e] == (x, y) for (x, y, e) in walked)
 
 
 def test_equal_endpoint_lookups_occur():
     """The row sweep really does hit equal anchor colors, so the table must
     cover u == v."""
     grid = build_hex_grid(5, 5)
-    pairs = [step for step in grid.sweep if len(step) == 10]
+    pairs = [step for step in grid.sweep if len(step) == 7]
     assert _names_its_edges(grid, [
-        walk for (v0, v1, v2, anchor, e0, s0, e1, s1, e2, s2) in pairs
-        for walk in ((v0, v1, e0, s0), (v1, v2, e1, s1), (v2, anchor, e2, s2))
+        walk for (v0, v1, v2, anchor, e0, e1, e2) in pairs
+        for walk in ((v0, v1, e0), (v1, v2, e1), (anchor, v2, e2))
     ])
     hits = 0
     for seed in range(30):
@@ -179,30 +176,31 @@ def test_equal_endpoint_lookups_occur():
 def test_sweep_schedule_constrains_each_edge_once():
     """For every shape up to 30 x 30: each step reads only colored vertices,
     every vertex is colored once, every grid edge is constrained by exactly
-    one step, each step's edge indices and flags name the edges it
-    constrains, and each pair step's anchor is the vertex above v2, joined
-    to it by a vertical edge (even parity)."""
+    one step, each step's edge indices name the edges it constrains as the
+    grid lists them, and each pair step's anchor is the vertex above v2,
+    joined to it by a vertical edge (even parity). Every step is a 3-tuple
+    or a 7-tuple."""
     for m in range(1, 31):
         for n in range(1, 31):
             grid = build_hex_grid(m, n)
             colored = {0}
-            walked = []  # (x, y, e, same) of each edge a step constrains
+            walked = []  # (x, y, e) of each edge a step constrains, listed (x, y)
             for step in grid.sweep:
-                if len(step) == 4:
-                    v, anchor, e, same = step
+                if len(step) == 3:
+                    v, anchor, e = step
                     reads, writes = (anchor,), (v,)
-                    walked.append((anchor, v, e, same))
+                    walked.append((anchor, v, e))
                 else:
-                    v0, v1, v2, anchor, e0, s0, e1, s1, e2, s2 = step
+                    v0, v1, v2, anchor, e0, e1, e2 = step
                     reads, writes = (v0, anchor), (v1, v2)
-                    walked += [(v0, v1, e0, s0), (v1, v2, e1, s1), (v2, anchor, e2, s2)]
+                    walked += [(v0, v1, e0), (v1, v2, e1), (anchor, v2, e2)]
                     (i, j) = grid.coords[v2]
                     assert grid.coords[anchor] == (i - 1, j) and (i - 1 + j) % 2 == 0
                 assert colored.issuperset(reads) and colored.isdisjoint(writes)
                 colored.update(writes)
             assert len(colored) == grid.graph.n_vertices
             assert _names_its_edges(grid, walked)
-            constrained = [(min(x, y), max(x, y)) for (x, y, _, _) in walked]
+            constrained = [(x, y) for (x, y, _) in walked]
             assert len(constrained) == len(set(constrained))
             assert set(constrained) == set(grid.graph.edges)
 
@@ -241,7 +239,7 @@ def _bad_entry_breaking_one_arc(grid):
     step reads, a wrong entry for that index, and the one arc that entry
     breaks; the arc is not the orientation's last."""
     pair = grid.sweep[-1]
-    assert len(pair) == 10 and all(len(step) == 4 for step in grid.sweep[:-1])
+    assert len(pair) == 7 and all(len(step) == 3 for step in grid.sweep[:-1])
     v0, v1, v2, anchor = pair[:4]
     for oriented in enumerate_orientations(grid.graph):
         colors = list(color_hex(grid, oriented))
@@ -314,17 +312,22 @@ def test_a6_is_the_only_class_with_the_path_property():
     assert [canonical_form(t) for t in holds] == [canonical_form(A6)]
 
 
-def test_color_hex_accepts_edges_listed_high_to_low():
+def test_color_hex_refuses_edges_listed_high_to_low():
+    """The sweep needs each edge listed from its smaller coordinate; a grid
+    that lists them the other way is refused at the first edge it looks up."""
     base = build_hex_grid(1, 1)
     reversed_edges = tuple((v, u) for (u, v) in base.graph.edges)
     grid = HexGrid(1, 1, UndirectedGraph(6, reversed_edges), base.coords)
     oriented = random_orientation(grid.graph, 3)
-    assert validate_homomorphism(oriented, A6, color_hex(grid, oriented))
+    assert base.coords[:2] == ((1, 1), (1, 2))
+    with pytest.raises(RuntimeError, match=r"^grid graph does not list the edge \(0, 1\)$"):
+        color_hex(grid, oriented)
 
 
 def test_renumbered_grid_colors():
     """The sweep reads coordinates, not row-major numbers: a grid whose
-    vertices and edges are permuted colors every orientation validly."""
+    vertices are permuted and whose edges are shuffled, each still listed
+    from its smaller coordinate, colors every orientation validly."""
     base = build_hex_grid(3, 4)
     rng = random.Random(0)
     perm = list(range(base.graph.n_vertices))
@@ -332,7 +335,7 @@ def test_renumbered_grid_colors():
     coords = [None] * len(perm)
     for v, c in enumerate(base.coords):
         coords[perm[v]] = c
-    edges = [tuple(sorted((perm[u], perm[v]))) for (u, v) in base.graph.edges]
+    edges = [(perm[u], perm[v]) for (u, v) in base.graph.edges]
     rng.shuffle(edges)
     grid = HexGrid(3, 4, UndirectedGraph(len(perm), tuple(edges)), tuple(coords))
     for seed in range(20):
@@ -354,9 +357,3 @@ def test_certificate_for_placed_h4():
     assert validate_homomorphism(fixture.graph, A6, colors)
     assert len(set(colors)) <= 6
 
-
-def test_patterns_constant():
-    assert len(PATTERNS) == 8
-    assert len(set(PATTERNS)) == 8
-    # a6_path_table lists each endpoint pair's walks by their bits, b0 << 2 | b1 << 1 | b2
-    assert all(pat == (i >> 2 & 1, i >> 1 & 1, i & 1) for i, pat in enumerate(PATTERNS))
