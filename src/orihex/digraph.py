@@ -2,7 +2,16 @@
 shared text file format.
 
 Vertices are 0-based everywhere in memory; the text format is 1-based.
-All types are immutable after construction and safe to share across threads.
+
+Record is the base of orihex's value records, here and in the other
+modules. A record's fields are its class's own annotated names. Each class
+has an explicit __init__ that writes the fields into the instance dict and
+then runs the record's check, if it has one. Records compare and hash by
+their fields, only against records of the same class, and repr as
+Name(field=value, ...). They are frozen: assigning or deleting an
+attribute raises AttributeError, so they are immutable after construction
+and safe to share across threads. Cached properties sit in the instance
+dict too, outside the fields, so equality, hashing and repr ignore them.
 
 Arcs are validated where they come from outside: by the public
 OrientedGraph constructor, and by the parser. The parser's line walk
@@ -20,7 +29,6 @@ import itertools
 import json
 import random
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
@@ -82,8 +90,44 @@ def _is_simple(n_vertices: int, pairs: tuple[tuple[int, int], ...]) -> bool:
     return _loop_and_repeat_free(pairs, zip(heads, tails))
 
 
-@dataclass(frozen=True)
-class UndirectedGraph:
+class Record:
+    """Value record: equality, hashing and repr over the fields, the
+    class's own annotated names; frozen unless the class is declared with
+    frozen=False, which also makes it unhashable."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True):
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        if not frozen:
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+            cls.__hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class UndirectedGraph(Record):
     """Simple graph: no self-loops, no duplicate edges.
 
     The edges are checked once, in bulk; only a graph that fails is walked
@@ -93,7 +137,8 @@ class UndirectedGraph:
     n_vertices: int
     edges: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...]):
+        self.__dict__.update(n_vertices=n_vertices, edges=edges)
         if _is_simple(self.n_vertices, self.edges):
             return
         seen = set()
@@ -111,8 +156,7 @@ class UndirectedGraph:
             seen.add(key)
 
 
-@dataclass(frozen=True)
-class OrientedGraph:
+class OrientedGraph(Record):
     """Orientation of a simple graph: each edge carries exactly one direction,
     so the arc set is antisymmetric and loop-free.
 
@@ -125,7 +169,8 @@ class OrientedGraph:
     n_vertices: int
     arcs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, n_vertices: int, arcs: tuple[tuple[int, int], ...]):
+        self.__dict__.update(n_vertices=n_vertices, arcs=arcs)
         if _is_simple(self.n_vertices, self.arcs):
             return
         seen = set()
@@ -168,7 +213,9 @@ class OrientedGraph:
         One pass over the vertices by (-degree, index): each vertex not yet
         placed roots its component, which is then placed breadth-first with
         neighbors in ascending index. A component's root is therefore its
-        maximum-degree vertex, the lowest index on ties.
+        maximum-degree vertex, the lowest index on ties. Isolated vertices
+        sort last and are left out: any color serves them, so the search
+        gives each its lowest without a node.
         """
         nbrs = self.neighbors
         placed = [False] * self.n_vertices
@@ -179,6 +226,8 @@ class OrientedGraph:
         for root in sorted(range(self.n_vertices), key=[-len(ns) for ns in nbrs].__getitem__):
             if placed[root]:
                 continue
+            if not nbrs[root]:
+                break
             starts.add(len(order))
             placed[root] = True
             order.append(root)
@@ -194,7 +243,7 @@ class OrientedGraph:
 def _unchecked(n_vertices: int, arcs: tuple[tuple[int, int], ...]) -> OrientedGraph:
     """An OrientedGraph made without its arc check, for arcs whose source
     already rules out every fault: made as build_hex_grid seeds
-    HexGrid.index, fields set on a bare instance with no __post_init__ run."""
+    HexGrid.index, fields set on a bare instance with no __init__ run."""
     graph = object.__new__(OrientedGraph)
     object.__setattr__(graph, "n_vertices", n_vertices)
     object.__setattr__(graph, "arcs", arcs)

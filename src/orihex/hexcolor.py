@@ -25,10 +25,9 @@ out-degree at least 1, which it has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
-from .digraph import OrientedGraph
+from .digraph import OrientedGraph, Record
 from .hexgrid import HexGrid
 from .tournaments import Tournament, fixture_a6
 
@@ -37,8 +36,7 @@ from .tournaments import Tournament, fixture_a6
 OrientationPattern = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class Prop1Check:
+class Prop1Check(Record):
     """Outcome of check_property1: the witness table on success, the
     unrealizable (u, v, pattern) triples otherwise."""
 
@@ -47,6 +45,14 @@ class Prop1Check:
     #: key (u * order + v) << 3 | b0 << 2 | b1 << 1 | b2, in key order
     table: dict[int, tuple[int, int]]
     missing: tuple[tuple[int, int, OrientationPattern], ...]
+
+    def __init__(
+        self,
+        holds: bool,
+        table: dict[int, tuple[int, int]],
+        missing: tuple[tuple[int, int, OrientationPattern], ...],
+    ):
+        self.__dict__.update(holds=holds, table=table, missing=missing)
 
 
 def check_property1(t: Tournament, include_equal_endpoints: bool = True) -> Prop1Check:

@@ -20,7 +20,6 @@ lattice bipartite with maximum degree 3.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
 from operator import eq, or_
@@ -29,6 +28,7 @@ from typing import Iterable
 from .digraph import (
     MAX_VERTICES,
     OrientedGraph,
+    Record,
     UndirectedGraph,
     parse_graph_file,
     random_orientation,
@@ -47,8 +47,7 @@ FIXTURES = {
 }
 
 
-@dataclass(frozen=True)
-class HexGrid:
+class HexGrid(Record):
     """Hexagonal grid: m rows of n hexagons, vertex v at coords[v] = (i, j).
 
     build_hex_grid numbers the vertices in row-major (i, j) order; the
@@ -61,6 +60,11 @@ class HexGrid:
     n: int
     graph: UndirectedGraph
     coords: tuple[tuple[int, int], ...]
+
+    def __init__(
+        self, m: int, n: int, graph: UndirectedGraph, coords: tuple[tuple[int, int], ...]
+    ):
+        self.__dict__.update(m=m, n=n, graph=graph, coords=coords)
 
     @cached_property
     def index(self) -> dict[tuple[int, int], int]:
@@ -185,24 +189,26 @@ def build_hex_grid(m: int, n: int) -> HexGrid:
     return grid
 
 
-@dataclass(frozen=True)
-class AxialFixture:
+class AxialFixture(Record):
     """Oriented graph together with axial lattice coordinates per vertex."""
 
     graph: OrientedGraph
     coords: tuple[tuple[int, int], ...]
 
-    def __post_init__(self):
-        if len(self.coords) != self.graph.n_vertices:
+    def __init__(self, graph: OrientedGraph, coords: tuple[tuple[int, int], ...]):
+        self.__dict__.update(graph=graph, coords=coords)
+        if len(coords) != graph.n_vertices:
             raise ValueError("one coordinate pair per vertex required")
 
 
-@dataclass(frozen=True)
-class LatticeCheck:
+class LatticeCheck(Record):
     """Verdict of validate_axial_fixture with human-readable violations."""
 
     ok: bool
     violations: tuple[str, ...]
+
+    def __init__(self, ok: bool, violations: tuple[str, ...]):
+        self.__dict__.update(ok=ok, violations=violations)
 
 
 def _lattice_class(a: int, b: int) -> int:

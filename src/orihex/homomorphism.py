@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from typing import Sequence
 
-from .digraph import OrientedGraph
+from .digraph import OrientedGraph, Record
 from .tournaments import Tournament, enumerate_tournaments
 
 BRUTE_FORCE_GUARD = 10**7
@@ -25,8 +24,7 @@ class SearchBudgetExceeded(RuntimeError):
     """Raised when a solve exceeds an explicitly requested time budget."""
 
 
-@dataclass(frozen=True)
-class HomResult:
+class HomResult(Record):
     """Search outcome: a validated witness map, or proof of nonexistence
     with statistics of the completed search."""
 
@@ -34,6 +32,16 @@ class HomResult:
     witness: Homomorphism | None
     nodes_expanded: int
     max_depth: int
+
+    def __init__(
+        self, found: bool, witness: Homomorphism | None, nodes_expanded: int, max_depth: int
+    ):
+        self.__dict__.update(
+            found=found,
+            witness=witness,
+            nodes_expanded=nodes_expanded,
+            max_depth=max_depth,
+        )
 
 
 def validate_homomorphism(g: OrientedGraph, t: Tournament, phi: Sequence[int]) -> bool:
@@ -96,16 +104,19 @@ def homomorphism_exists(
 
     Vertices are assigned in the static order of `g.search_order`, which
     the graph computes on its first search and keeps for every later one,
-    target vertices tried in ascending order. Propagation only removes
+    target vertices tried in ascending order. Isolated vertices are not in
+    the order: each takes color 0 without a node, and an empty target
+    leaves any graph with a vertex uncolorable. Propagation only removes
     colors that no homomorphism extending the current assignment uses, so
     the witness is the lexicographically first in that order; it and the
     verdict are deterministic. Components share no arcs: when the first
     vertex of a component runs out of colors, no homomorphism exists.
 
     `nodes_expanded` counts the colors tried and `max_depth` the most
-    vertices assigned at once. A time budget must be a finite number of
-    seconds above 0 (ValueError otherwise); its deadline is checked at
-    every node, and SearchBudgetExceeded is raised once it has passed.
+    vertices of the order assigned at once. A time budget must be a finite
+    number of seconds above 0 (ValueError otherwise); its deadline is
+    checked at every node, and SearchBudgetExceeded is raised once it has
+    passed.
     """
     k = t.order
     if k > MAX_SEARCH_ORDER:
@@ -114,6 +125,9 @@ def homomorphism_exists(
     nbrs = g.neighbors
     out_sup, in_sup = t.out_support, t.in_support
     full = (1 << k) - 1
+    if not full and g.n_vertices:
+        # no color for any vertex, an isolated one included
+        return HomResult(False, None, 0, 0)
     doms = [full] * g.n_vertices
     trail: list[tuple[int, int]] = []
 
@@ -179,6 +193,9 @@ def homomorphism_exists(
             choices[p] = doms[order[p]]
             marks[p] = len(trail)
 
+    if m < g.n_vertices:
+        # the vertices left out of the order are isolated and keep full domains
+        doms = [d if ns else 1 for (d, ns) in zip(doms, nbrs)]
     witness = tuple(d.bit_length() - 1 for d in doms)
     assert validate_homomorphism(g, t, witness)
     return HomResult(True, witness, nodes, max_depth)

@@ -11,10 +11,11 @@ means i dominates j and bit 0 means j dominates i.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import itemgetter
 from typing import Sequence
+
+from .digraph import Record
 
 MAX_CANONICAL_ORDER = 8
 MAX_CENSUS_ORDER = 6
@@ -45,14 +46,14 @@ def _pairs(k: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(k) for j in range(i + 1, k)]
 
 
-@dataclass(frozen=True)
-class Tournament:
+class Tournament(Record):
     """Complete oriented graph on {0, ..., order-1}."""
 
     order: int
     out_masks: tuple[int, ...]
 
-    def __post_init__(self):
+    def __init__(self, order: int, out_masks: tuple[int, ...]):
+        self.__dict__.update(order=order, out_masks=out_masks)
         k = self.order
         if len(self.out_masks) != k:
             raise ValueError("out_masks length must equal order")

@@ -27,11 +27,10 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import __version__
-from .digraph import enumerate_orientations, random_orientation
+from .digraph import Record, enumerate_orientations, random_orientation
 from .hexcolor import check_property1, color_hex
 from .hexgrid import (
     FIXTURES,
@@ -68,8 +67,7 @@ H4_EXPECTED_ARCS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(Record):
     name: str
     mandatory: bool
     verdict: str  # PASS | FAIL | INFO
@@ -77,16 +75,38 @@ class CheckRecord:
     details: dict
     elapsed_s: float
 
+    def __init__(
+        self,
+        name: str,
+        mandatory: bool,
+        verdict: str,
+        inputs: dict,
+        details: dict,
+        elapsed_s: float,
+    ):
+        self.__dict__.update(
+            name=name,
+            mandatory=mandatory,
+            verdict=verdict,
+            inputs=inputs,
+            details=details,
+            elapsed_s=elapsed_s,
+        )
+
     def to_dict(self) -> dict:
         # a shallow copy: json.dumps walks the nested details itself
         return {**vars(self), "elapsed_s": round(self.elapsed_s, 4)}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record, frozen=False):
     seed: int
     scale: str
-    checks: list[CheckRecord] = field(default_factory=list)
+    checks: list[CheckRecord]
+
+    def __init__(self, seed: int, scale: str, checks: list[CheckRecord] | None = None):
+        self.seed = seed
+        self.scale = scale
+        self.checks = [] if checks is None else checks
 
     @property
     def overall(self) -> str:

@@ -468,6 +468,18 @@ def test_cli_and_oracle_leave_numpy_out():
     assert done.stdout.strip() == "False"
 
 
+def test_cli_starts_without_dataclasses():
+    # -S skips site, whose .pth files may import anything; the stdlib may
+    # load inspect itself on some versions, so only dataclasses is pinned
+    src = str(Path(cli.__file__).resolve().parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r})\n"
+             "import orihex.cli\n"
+             "print('dataclasses' in sys.modules)")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
+
+
 def test_python_dash_m_runs_the_cli():
     done = subprocess.run([sys.executable, "-m", "orihex", "hom", "check", "-g", "H4", "-t", "T5"],
                           env=_src_env(), capture_output=True, text=True)

@@ -76,6 +76,17 @@ def test_empty_target_and_empty_graph():
     )
 
 
+def test_isolated_vertices_take_color_zero_without_a_node():
+    # one arc and 9,998 isolated vertices: only the arc's two ends are searched
+    g = parse_digraph("10000 1\n1 2\n")
+    t5 = named_tournament("T5")
+    result = homomorphism_exists(g, t5)
+    assert (result.found, result.nodes_expanded, result.max_depth) == (True, 2, 2)
+    assert result.witness == (0, 4) + (0,) * 9998
+    assert homomorphism_exists(OrientedGraph(3, ()), t5) == HomResult(True, (0, 0, 0), 0, 0)
+    assert not homomorphism_exists(OrientedGraph(3, ()), Tournament(0, ())).found
+
+
 def test_cycle_into_transitive_tournament_none():
     for t in (parse_tournament("1111111111", 5), parse_tournament("0000000000", 5)):
         assert not homomorphism_exists(DIRECTED_C3, t).found
@@ -307,7 +318,7 @@ def search_outcome_stream():
 
 #: sha256 of search_outcome_stream() as JSON; any change in a verdict,
 #: witness or node count over the stream changes it
-SEARCH_STREAM_SHA256 = "ab4471860a1cc253c0514a712b0adfb475c30f0fdd3d71a269cf2d2d7bf22ec6"
+SEARCH_STREAM_SHA256 = "74cbf5eaac7e616c4fdbdb8b7abcb741907fcf00ca414de6ae8d83f8d7c03285"
 
 
 def test_search_outcome_stream_pinned():
@@ -370,7 +381,7 @@ def test_search_order_kept_with_the_graph():
         homomorphism_exists(g, named_tournament("T11"))
         order, starts = g.search_order
         assert (order, starts) == copy_of(g).search_order
-        assert sorted(order) == list(range(g.n_vertices))
+        assert sorted(order) == [v for v in range(g.n_vertices) if g.neighbors[v]]
         assert isinstance(order, tuple) and isinstance(starts, frozenset)
 
 
