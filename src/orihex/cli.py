@@ -5,7 +5,9 @@ Exit codes: 0 success (or verification PASS / homomorphism found),
 2 usage or input errors (argparse's, and every ValueError or OSError a
 command raises, printed as one "error: ..." line), 3 undecided: a search
 (verify-paper's too, which then prints no report) ran out of its time
-budget, of stack or of memory.
+budget, of stack or of memory. 141 (128 + SIGPIPE, what a shell reports
+when a reader closes early): stdout's reader closed the pipe before all
+output was written; nothing is printed to stderr.
 
 Every search a command starts has verify-paper's time budget,
 SOLVER_BUDGET_S: `hom check` gives it to its one search and `chi-o` to all
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -282,7 +285,16 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: no input error. stdout now writes to
+        # devnull, so the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -52,11 +52,15 @@ def validate_homomorphism(g: OrientedGraph, t: Tournament, phi: Sequence[int]) -
     """
     if len(phi) != g.n_vertices:
         raise ValueError(f"map covers {len(phi)} of {g.n_vertices} vertices")
+    k = t.order
     for c in phi:
-        if not (0 <= c < t.order):
-            raise ValueError(f"color {c} outside 0..{t.order - 1}")
+        if not 0 <= c < k:
+            raise ValueError(f"color {c} outside 0..{k - 1}")
     out = t.out_masks
-    return all(out[phi[u]] >> phi[v] & 1 for (u, v) in g.arcs)
+    for (u, v) in g.arcs:
+        if not out[phi[u]] >> phi[v] & 1:
+            return False
+    return True
 
 
 def search_record(g: OrientedGraph, t: Tournament, result: HomResult) -> dict:
@@ -87,6 +91,42 @@ def _deadline(time_budget_s: float | None) -> float | None:
     return time.monotonic() + time_budget_s
 
 
+def _propagate(
+    pending: set[int],
+    doms: list[int],
+    trail: list[tuple[int, int]],
+    nbrs: Sequence[Sequence[tuple[int, bool]]],
+    out_sup: Sequence[int],
+    in_sup: Sequence[int],
+) -> tuple[int, int] | None:
+    """Revise the neighbors of each pending vertex, in any order, adding
+    each vertex whose domain narrows, until none is pending; each change
+    is pushed on the trail as (vertex, old domain). None at the fixpoint,
+    else the arc (v, w) whose revision emptied w's domain, which is left
+    as it was. Whether a wipeout happens does not depend on the order:
+    there is one fixpoint; which arc is named does."""
+    while pending:
+        v = pending.pop()
+        dv = doms[v]
+        for (w, outgoing) in nbrs[v]:
+            dw = doms[w]
+            nd = dw & (out_sup[dv] if outgoing else in_sup[dv])
+            if nd != dw:
+                if not nd:
+                    return (v, w)
+                trail.append((w, dw))
+                doms[w] = nd
+                pending.add(w)
+    return None
+
+
+def _undo(doms: list[int], trail: list[tuple[int, int]], mark: int) -> None:
+    """Pop the trail down to length mark, restoring each domain it saved."""
+    while len(trail) > mark:
+        w, d = trail.pop()
+        doms[w] = d
+
+
 def homomorphism_exists(
     g: OrientedGraph, t: Tournament, time_budget_s: float | None = None
 ) -> HomResult:
@@ -100,7 +140,9 @@ def homomorphism_exists(
     until no domain changes. The vertices to revise form a set, taken in
     any order: the domains end as the largest arc-consistent ones inside
     the starting ones whatever the order (Mackworth 1977), so no result
-    depends on it. A trail of (vertex, old domain) pairs undoes changes.
+    depends on it. A trail of (vertex, old domain) pairs undoes the
+    changes of a color that wipes out a domain, and of a position whose
+    colors run out, so each position starts at the trail length it marked.
 
     Vertices are assigned in the static order of `g.search_order`, which
     the graph computes on its first search and keeps for every later one,
@@ -130,27 +172,12 @@ def homomorphism_exists(
         return HomResult(False, None, 0, 0)
     doms = [full] * g.n_vertices
     trail: list[tuple[int, int]] = []
-
-    def propagate(pending: set[int]) -> bool:
-        """Revise the neighbors of each pending vertex, in any order, adding
-        each vertex whose domain narrows, until none is pending. False on a
-        wipeout, which the order cannot change: there is one fixpoint."""
-        while pending:
-            v = pending.pop()
-            dv = doms[v]
-            for (w, outgoing) in nbrs[v]:
-                dw = doms[w]
-                nd = dw & (out_sup[dv] if outgoing else in_sup[dv])
-                if nd != dw:
-                    if not nd:
-                        return False
-                    trail.append((w, dw))
-                    doms[w] = nd
-                    pending.add(w)
-        return True
-
     # full domains are arc consistent unless the target has a source or a sink
-    if out_sup[full] & in_sup[full] != full and not propagate(set(range(g.n_vertices))):
+    if (
+        out_sup[full] & in_sup[full] != full
+        and _propagate(set(range(g.n_vertices)), doms, trail, nbrs, out_sup, in_sup)
+        is not None
+    ):
         return HomResult(False, None, 0, 0)
     order, starts = g.search_order
     m = len(order)
@@ -168,23 +195,21 @@ def homomorphism_exists(
             if p in starts:
                 return HomResult(False, None, nodes, max_depth)
             p -= 1
+            _undo(doms, trail, marks[p])
             continue
         low = vals & -vals
         choices[p] = vals ^ low
         nodes += 1
         if deadline is not None and time.monotonic() > deadline:
             raise SearchBudgetExceeded(f"time budget {time_budget_s}s exceeded")
-        mark = marks[p]
-        while len(trail) > mark:
-            w, d = trail.pop()
-            doms[w] = d
         v = order[p]
         # assigning a vertex its only color changes nothing: the domains
         # are already arc consistent
         if doms[v] != low:
             trail.append((v, doms[v]))
             doms[v] = low
-            if not propagate({v}):
+            if _propagate({v}, doms, trail, nbrs, out_sup, in_sup) is not None:
+                _undo(doms, trail, marks[p])
                 continue
         p += 1
         if p > max_depth:
@@ -196,7 +221,7 @@ def homomorphism_exists(
     if m < g.n_vertices:
         # the vertices left out of the order are isolated and keep full domains
         doms = [d if ns else 1 for (d, ns) in zip(doms, nbrs)]
-    witness = tuple(d.bit_length() - 1 for d in doms)
+    witness = tuple([d.bit_length() - 1 for d in doms])
     assert validate_homomorphism(g, t, witness)
     return HomResult(True, witness, nodes, max_depth)
 

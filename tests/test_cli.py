@@ -491,6 +491,36 @@ def test_python_dash_m_runs_the_cli():
     assert len(done.stdout.splitlines()) == 2
 
 
+def test_reader_closing_stdout_exits_141_quietly():
+    # more output than a pipe buffer holds, so a write meets the closed
+    # pipe; an unbuffered stdout (PYTHONUNBUFFERED) drops the rest of a
+    # partial write without an error, so the child keeps the default buffering
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = [sys.executable, "-m", "orihex", "hex", "gen", "-m", "100", "-n", "100", "--seed", "1"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
+def test_output_to_a_pipe_closed_before_start_exits_141_quietly():
+    # a few lines fit in stdout's buffer, so only the flush meets the pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = _src_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    try:
+        done = subprocess.run([sys.executable, "-m", "orihex", "tourn", "list", "-k", "5"],
+                              env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
 def test_installed_binary_exit_codes(tmp_path):
     import shutil
 

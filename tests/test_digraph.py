@@ -337,6 +337,12 @@ def test_random_orientation_matches_per_edge_draws():
             assert random_orientation(g, seed) == orient(g, code)
 
 
+def test_isolated_vertices_have_no_neighbors():
+    g = OrientedGraph(6, ((1, 3), (4, 1)))
+    assert g.neighbors == ((), ((3, True), (4, False)), (), ((1, False),), ((1, True),), ())
+    assert OrientedGraph(3, ()).neighbors == ((), (), ())
+
+
 CROSS_CHECK_SHAPES = [(k, k) for k in range(1, 7)] + [(3, 7), (50, 50)]
 
 

@@ -92,6 +92,45 @@ def test_cycle_into_transitive_tournament_none():
         assert not homomorphism_exists(DIRECTED_C3, t).found
 
 
+def _root_propagation(g, t):
+    """_propagate run from the root on full domains: (return value, domains
+    before, domains after, trail)."""
+    full = (1 << t.order) - 1
+    doms, trail = [full] * g.n_vertices, []
+    wiped = homomorphism._propagate(
+        set(range(g.n_vertices)), doms, trail, g.neighbors, t.out_support, t.in_support
+    )
+    return wiped, [full] * g.n_vertices, doms, trail
+
+
+def test_propagate_at_fixpoint_changes_nothing():
+    # full domains are arc consistent: the 3-cycle tournament has no source or sink
+    wiped, before, after, trail = _root_propagation(DIRECTED_C3, THREE_CYCLE_T)
+    assert wiped is None
+    assert after == before and trail == []
+
+
+def test_propagate_names_its_wipeout_arc():
+    t = TRANSITIVE_3
+    wiped, before, doms, trail = _root_propagation(DIRECTED_C3, t)
+    assert wiped is not None
+    v, w = wiped
+    outgoing = dict(DIRECTED_C3.neighbors[v])[w]  # KeyError unless w neighbors v
+    sup = t.out_support if outgoing else t.in_support
+    assert doms[w] and not doms[w] & sup[doms[v]]  # w's domain is left as it was
+    assert all(doms)
+    for (u, d) in reversed(trail):
+        doms[u] = d
+    assert doms == before
+    # one pending vertex, colored with t's sink, and one arc out of it
+    sink = t.out_masks.index(0)
+    doms, trail = [1 << sink, 0b111], []
+    arc = OrientedGraph(2, ((0, 1),))
+    wiped = homomorphism._propagate({0}, doms, trail, arc.neighbors, t.out_support, t.in_support)
+    assert wiped == (0, 1)
+    assert doms == [1 << sink, 0b111] and trail == []
+
+
 def test_found_witnesses_are_valid():
     rng = random.Random(8)
     found = 0
