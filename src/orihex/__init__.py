@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .digraph import (
     GraphFormatError,
     OrientedGraph,
-    UndirectedGraph,
     enumerate_orientations,
     orient,
     parse_digraph,
@@ -57,7 +56,6 @@ from .verify import VerificationReport, verify_paper
 __all__ = [
     "GraphFormatError",
     "OrientedGraph",
-    "UndirectedGraph",
     "enumerate_orientations",
     "orient",
     "parse_digraph",

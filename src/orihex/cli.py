@@ -7,7 +7,8 @@ command raises, printed as one "error: ..." line), 3 undecided: a search
 (verify-paper's too, which then prints no report) ran out of its time
 budget, of stack or of memory. 141 (128 + SIGPIPE, what a shell reports
 when a reader closes early): stdout's reader closed the pipe before all
-output was written; nothing is printed to stderr.
+output was written, buffered or not (PYTHONUNBUFFERED, python -u);
+nothing is printed to stderr.
 
 Every search a command starts has verify-paper's time budget,
 SOLVER_BUDGET_S: `hom check` gives it to its one search and `chi-o` to all
@@ -73,6 +74,16 @@ def _load_graph(name_or_path: str) -> OrientedGraph:
         raise ValueError(f"{name_or_path}: {exc}") from exc
 
 
+def _write(text: str) -> None:
+    """Every command's one stdout writer. It hands the bytes to stdout's
+    buffer until all are taken: unbuffered, that buffer is the raw file,
+    whose write may take part of them, and the text layer would drop the
+    rest without an error, so a reader that closed early would go unseen."""
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[sys.stdout.buffer.write(data):]
+
+
 def _grid_orientation(args) -> tuple:
     if args.graph is not None:
         oriented = _load_graph(args.graph)
@@ -83,7 +94,7 @@ def _grid_orientation(args) -> tuple:
             raise ValueError("orientation and grid disagree on vertex count")
         return build_hex_grid(m, n), oriented
     grid = build_hex_grid(args.m, args.n)
-    n_edges = len(grid.graph.edges)
+    n_edges = len(grid.graph.arcs)
     if args.code is not None:
         if len(args.code) != n_edges:
             raise ValueError(f"code must have {n_edges} bits for this grid")
@@ -97,25 +108,24 @@ def _cmd_hex_gen(args) -> int:
     if args.graph is not None:
         # seeded and coded orientations direct the grid's edges by construction
         grid.directions(oriented)
-    sys.stdout.write(serialize_digraph(oriented))
+    _write(serialize_digraph(oriented))
     return 0
 
 
 def _cmd_tourn_list(args) -> int:
-    for t in enumerate_tournaments(args.k):
-        print(f"{t.order}:{t.bits}")
+    _write("".join(f"{t.order}:{t.bits}\n" for t in enumerate_tournaments(args.k)))
     return 0
 
 
 def _cmd_tourn_ds(args) -> int:
     t = resolve_tournament(args.tournament)
-    print(" ".join(str(x) for x in double_score_set(t)))
+    _write(" ".join(str(x) for x in double_score_set(t)) + "\n")
     return 0
 
 
 def _cmd_tourn_canon(args) -> int:
     t = resolve_tournament(args.tournament)
-    print(f"{t.order}:{canonical_form(t)}")
+    _write(f"{t.order}:{canonical_form(t)}\n")
     return 0
 
 
@@ -127,11 +137,11 @@ def _cmd_hom_check(args) -> int:
     else:
         result = homomorphism_exists(g, t, time_budget_s=SOLVER_BUDGET_S)
     if args.json:
-        print(json.dumps(search_record(g, t, result)))
+        _write(json.dumps(search_record(g, t, result)) + "\n")
     elif result.found:
-        print("FOUND " + " ".join(str(c) for c in result.witness))
+        _write("FOUND " + " ".join(str(c) for c in result.witness) + "\n")
     else:
-        print(f"NONE (nodes expanded: {result.nodes_expanded})")
+        _write(f"NONE (nodes expanded: {result.nodes_expanded})\n")
     return 0 if result.found else 1
 
 
@@ -139,15 +149,15 @@ def _cmd_prop1(args) -> int:
     t = resolve_tournament(args.tournament)
     check = check_property1(t, include_equal_endpoints=not args.distinct_only)
     if args.json:
-        print(json.dumps({
+        _write(json.dumps({
             "holds": check.holds,
             "cases": len(check.table) + len(check.missing),
             "missing": [[u, v, list(p)] for (u, v, p) in check.missing],
-        }))
+        }) + "\n")
     elif check.holds:
-        print(f"holds ({len(check.table)} cases)")
+        _write(f"holds ({len(check.table)} cases)\n")
     else:
-        print(f"fails ({len(check.missing)} unrealizable cases), first: {check.missing[0]}")
+        _write(f"fails ({len(check.missing)} unrealizable cases), first: {check.missing[0]}\n")
     return 0 if check.holds else 1
 
 
@@ -155,10 +165,10 @@ def _cmd_color(args) -> int:
     grid, oriented = _grid_orientation(args)
     colors = color_hex(grid, oriented)
     if args.json:
-        print(json.dumps({"grid": [grid.m, grid.n], "colors": list(colors)}))
+        _write(json.dumps({"grid": [grid.m, grid.n], "colors": list(colors)}) + "\n")
     else:
-        for v, (coord, c) in enumerate(zip(grid.coords, colors)):
-            print(f"{v + 1} v{coord[0]},{coord[1]} {c}")
+        _write("".join(f"{v + 1} v{i},{j} {c}\n"
+                       for v, ((i, j), c) in enumerate(zip(grid.coords, colors))))
     return 0
 
 
@@ -166,17 +176,17 @@ def _cmd_chi_o(args) -> int:
     g = _load_graph(args.graph)
     value = chi_o(g, k_max=args.k_max, time_budget_s=SOLVER_BUDGET_S)
     if args.json:
-        print(json.dumps({"chi_o": value, "k_max": args.k_max}))
+        _write(json.dumps({"chi_o": value, "k_max": args.k_max}) + "\n")
     elif value is None:
-        print(f"> {args.k_max}")
+        _write(f"> {args.k_max}\n")
     else:
-        print(value)
+        _write(f"{value}\n")
     return 0
 
 
 def _cmd_export_opl(args) -> int:
     if args.model:
-        sys.stdout.write(export_opl_model())
+        _write(export_opl_model())
         return 0
     if args.graph is None or args.tournament is None:
         raise ValueError("export-opl requires -g and -t (or --model)")
@@ -184,7 +194,7 @@ def _cmd_export_opl(args) -> int:
     t = resolve_tournament(args.tournament)
     if t.order != 5:
         raise ValueError("data export needs an order-5 tournament")
-    sys.stdout.write(export_opl_data(g, t))
+    _write(export_opl_data(g, t))
     return 0
 
 
@@ -193,9 +203,9 @@ def _cmd_verify_paper(args) -> int:
     if args.out:
         Path(args.out).write_text(report.to_json())
     if args.json:
-        sys.stdout.write(report.to_json())
+        _write(report.to_json())
     else:
-        sys.stdout.write(render_text(report))
+        _write(render_text(report))
     return 0 if report.passed else 1
 
 

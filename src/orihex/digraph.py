@@ -1,5 +1,5 @@
-"""Core graph types: simple undirected graphs, their orientations, and the
-shared text file format.
+"""Core graph type: oriented graphs, their re-orientations, and the shared
+text file format.
 
 Vertices are 0-based everywhere in memory; the text format is 1-based.
 
@@ -13,14 +13,17 @@ attribute raises AttributeError, so they are immutable after construction
 and safe to share across threads. Cached properties sit in the instance
 dict too, outside the fields, so equality, hashing and repr ignore them.
 
-Arcs are validated where they come from outside: by the public
-OrientedGraph constructor, and by the parser. The parser's line walk
-goes through the constructor; its bulk read of canonical files builds
-only pairs of vertices below n, so it checks the rest itself (vertex -1,
-loops, repeats and 2-cycles) with the constructor's own test. orient,
-enumerate_orientations and random_orientation build their graphs through
-_directed, which skips the check: one arc per edge of an already
-validated UndirectedGraph can hold no bad endpoint, loop or repeat.
+An OrientedGraph also serves as the reference direction of its edges:
+a grid's graph lists each edge from its smaller coordinate, and orient,
+enumerate_orientations and random_orientation keep or reverse its arcs,
+one bit each. Arcs are validated where they come from outside: by the
+public OrientedGraph constructor, and by the parser. The parser's line
+walk goes through the constructor; its bulk read of canonical files
+builds only pairs of vertices below n, so it checks the rest itself
+(vertex -1, loops, repeats and 2-cycles) with the constructor's own
+test. The re-orientations are built through _directed, which skips the
+check: reversing arcs of an already validated graph can make no bad
+endpoint, loop or repeat.
 """
 
 from __future__ import annotations
@@ -74,36 +77,16 @@ def _loop_and_repeat_free(pairs: tuple[tuple[int, int], ...], reversed_pairs: It
     return len(pair_set) == len(pairs) and pair_set.isdisjoint(reversed_pairs)
 
 
-def _is_simple(n_vertices: int, pairs: tuple[tuple[int, int], ...]) -> bool:
-    """True when every item is a pair, every endpoint lies in
-    0..n_vertices-1, and no pair is a self-loop or repeats another pair in
-    either direction; one pass of C-level work over all pairs.
-    """
-    if not pairs:
-        return True
-    if set(map(len, pairs)) != {2}:
-        return False
-    tails = tuple(map(itemgetter(0), pairs))
-    heads = tuple(map(itemgetter(1), pairs))
-    if min(min(tails), min(heads)) < 0 or max(max(tails), max(heads)) >= n_vertices:
-        return False
-    return _loop_and_repeat_free(pairs, zip(heads, tails))
-
-
 class Record:
-    """Value record: equality, hashing and repr over the fields, the
-    class's own annotated names; frozen unless the class is declared with
-    frozen=False, which also makes it unhashable."""
+    """Frozen value record: equality, hashing and repr over the fields, the
+    class's own annotated names. A record with a list or dict field does
+    not hash."""
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen: bool = True):
+    def __init_subclass__(cls):
         super().__init_subclass__()
         cls._fields = tuple(cls.__annotations__)
-        if not frozen:
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
-            cls.__hash__ = None
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
@@ -127,43 +110,15 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class UndirectedGraph(Record):
-    """Simple graph: no self-loops, no duplicate edges.
-
-    The edges are checked once, in bulk; only a graph that fails is walked
-    edge by edge, to name its first bad edge.
-    """
-
-    n_vertices: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __init__(self, n_vertices: int, edges: tuple[tuple[int, int], ...]):
-        self.__dict__.update(n_vertices=n_vertices, edges=edges)
-        if _is_simple(self.n_vertices, self.edges):
-            return
-        seen = set()
-        for edge in self.edges:
-            if len(edge) != 2:
-                raise ValueError(f"edge {edge!r} is not a pair")
-            u, v = edge
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                raise ValueError(f"edge ({u},{v}) out of range 0..{self.n_vertices - 1}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise ValueError(f"duplicate edge {{{u},{v}}}")
-            seen.add(key)
-
-
 class OrientedGraph(Record):
     """Orientation of a simple graph: each edge carries exactly one direction,
     so the arc set is antisymmetric and loop-free.
 
-    The constructor checks the arcs once, in bulk; only a graph that fails
-    is walked arc by arc, to raise ArcError for its first bad arc. The
-    orientations this module derives from an UndirectedGraph skip the
-    check (see _directed).
+    The constructor checks the arcs once, in bulk: pairs only, endpoints in
+    0..n_vertices-1, no loop and no repeat in either direction, in one pass
+    of C-level work. Only a graph that fails is walked arc by arc, to raise
+    ArcError for its first bad arc. The re-orientations this module derives
+    from a graph skip the check (see _directed).
     """
 
     n_vertices: int
@@ -171,15 +126,20 @@ class OrientedGraph(Record):
 
     def __init__(self, n_vertices: int, arcs: tuple[tuple[int, int], ...]):
         self.__dict__.update(n_vertices=n_vertices, arcs=arcs)
-        if _is_simple(self.n_vertices, self.arcs):
-            return
+        # no arcs skip the bulk test, and the walk finds no fault in them
+        if set(map(len, arcs)) == {2}:
+            tails = tuple(map(itemgetter(0), arcs))
+            heads = tuple(map(itemgetter(1), arcs))
+            if (min(min(tails), min(heads)) >= 0 and max(max(tails), max(heads)) < n_vertices
+                    and _loop_and_repeat_free(arcs, zip(heads, tails))):
+                return
         seen = set()
-        for i, arc in enumerate(self.arcs):
+        for i, arc in enumerate(arcs):
             if len(arc) != 2:
                 raise ArcError(i, arc, "is not a pair")
             u, v = arc
-            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
-                problem = f"has an endpoint out of range ({self.n_vertices} vertices)"
+            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+                problem = f"has an endpoint out of range ({n_vertices} vertices)"
             elif u == v:
                 problem = "is a self-loop"
             elif (u, v) in seen:
@@ -374,27 +334,28 @@ def _normalize_code(code: Iterable[int] | str) -> tuple[int, ...]:
     return tuple(map(int, bits))
 
 
-def _directed(g: UndirectedGraph, bits: Iterable[int]) -> OrientedGraph:
-    """Direct edge i of g by bits[i] (1: first endpoint dominates), one bit
-    per edge, without OrientedGraph's arc check: g's own check already
+def _directed(g: OrientedGraph, bits: Iterable[int]) -> OrientedGraph:
+    """Keep arc i of g where bits[i] is 1 and reverse it where it is 0, one
+    bit per arc, without OrientedGraph's arc check: g's own check already
     rules out every fault an arc could have here.
     """
-    # a forward arc is the edge's own tuple, so only reversed arcs are new objects
-    arcs = tuple([e if b else (e[1], e[0]) for (e, b) in zip(g.edges, bits)])
+    # a kept arc is g's own tuple, so only reversed arcs are new objects
+    arcs = tuple([a if b else (a[1], a[0]) for (a, b) in zip(g.arcs, bits)])
     return _unchecked(g.n_vertices, arcs)
 
 
-def orient(g: UndirectedGraph, code: Iterable[int] | str) -> OrientedGraph:
-    """Direct each edge of g by the aligned code bit (1: first endpoint dominates)."""
+def orient(g: OrientedGraph, code: Iterable[int] | str) -> OrientedGraph:
+    """Direct each edge of g by the aligned code bit (1: as g directs it)."""
     bits = _normalize_code(code)
-    if len(bits) != len(g.edges):
-        raise ValueError(f"code length {len(bits)} != edge count {len(g.edges)}")
+    if len(bits) != len(g.arcs):
+        raise ValueError(f"code length {len(bits)} != edge count {len(g.arcs)}")
     return _directed(g, bits)
 
 
-def enumerate_orientations(g: UndirectedGraph) -> Iterator[OrientedGraph]:
-    """All 2^|E| orientations of g, streamed in lexicographic code order."""
-    m = len(g.edges)
+def enumerate_orientations(g: OrientedGraph) -> Iterator[OrientedGraph]:
+    """All 2^|E| orientations of g's edges, streamed in lexicographic code
+    order (bit 1: the edge as g directs it)."""
+    m = len(g.arcs)
     if m > MAX_ENUMERATION_EDGES:
         raise ValueError(f"{m} edges exceeds enumeration limit {MAX_ENUMERATION_EDGES}")
     return (_directed(g, bits) for bits in itertools.product((0, 1), repeat=m))
@@ -404,15 +365,17 @@ def enumerate_orientations(g: UndirectedGraph) -> Iterator[OrientedGraph]:
 _TOP_BIT = bytes(b >> 7 for b in range(256))
 
 
-def random_orientation(g: UndirectedGraph, seed: int) -> OrientedGraph:
-    """Seed-deterministic orientation, uniform over the 2^|E| codes.
+def random_orientation(g: OrientedGraph, seed: int) -> OrientedGraph:
+    """Seed-deterministic orientation of g's edges, uniform over the 2^|E|
+    codes.
 
     Edge i is directed by the top bit of the i-th 32-bit output of
-    random.Random(seed), the bit a getrandbits(1) call per edge would take.
+    random.Random(seed), the bit a getrandbits(1) call per edge would take:
+    1 directs it as g does, 0 reverses it.
     The outputs are drawn in one getrandbits(32 * |E|) call, which yields
     the same words in order, so each seed keeps its orientation.
     """
-    m = len(g.edges)
+    m = len(g.arcs)
     words = random.Random(seed).getrandbits(32 * m).to_bytes(4 * m, "little")
     # byte 3 of each little-endian word holds its top bit
     return _directed(g, words[3::4].translate(_TOP_BIT))

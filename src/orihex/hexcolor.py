@@ -17,10 +17,10 @@ color an arbitrary orientation of a hexagonal grid row by row:
   * a row's final vertex has no anchor above and is colored greedily.
 
 The steps are HexGrid.sweep, built once per grid object from its
-coordinates and its edges, each listed from its smaller coordinate; the
-tests check for every m, n <= 30 that they constrain each grid edge
-exactly once. Greedy steps need every vertex of A6 to have in- and
-out-degree at least 1, which it has.
+coordinates and its graph, which directs each edge from its smaller
+coordinate; the tests check for every m, n <= 30 that they constrain
+each grid edge exactly once. Greedy steps need every vertex of A6 to
+have in- and out-degree at least 1, which it has.
 """
 
 from __future__ import annotations

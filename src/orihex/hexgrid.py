@@ -29,7 +29,6 @@ from .digraph import (
     MAX_VERTICES,
     OrientedGraph,
     Record,
-    UndirectedGraph,
     parse_graph_file,
     random_orientation,
 )
@@ -50,19 +49,22 @@ FIXTURES = {
 class HexGrid(Record):
     """Hexagonal grid: m rows of n hexagons, vertex v at coords[v] = (i, j).
 
-    build_hex_grid numbers the vertices in row-major (i, j) order; the
-    sweep reads coordinates through index, so any numbering colors. The
-    sweep needs each edge listed from its smaller coordinate, as
-    build_hex_grid lists them: (i, j) -> (i, j+1) and (i, j) -> (i+1, j).
+    graph is the grid's reference orientation, each edge directed from its
+    smaller coordinate: (i, j) -> (i, j+1) and (i, j) -> (i+1, j), as
+    build_hex_grid builds it and as the sweep needs it. orient,
+    random_orientation and enumerate_orientations direct grid edge i by
+    one bit: 1 as grid.graph directs it, 0 reversed. build_hex_grid
+    numbers the vertices in row-major (i, j) order; the sweep reads
+    coordinates through index, so any numbering colors.
     """
 
     m: int
     n: int
-    graph: UndirectedGraph
+    graph: OrientedGraph
     coords: tuple[tuple[int, int], ...]
 
     def __init__(
-        self, m: int, n: int, graph: UndirectedGraph, coords: tuple[tuple[int, int], ...]
+        self, m: int, n: int, graph: OrientedGraph, coords: tuple[tuple[int, int], ...]
     ):
         self.__dict__.update(m=m, n=n, graph=graph, coords=coords)
 
@@ -72,14 +74,14 @@ class HexGrid(Record):
 
     @cached_property
     def _reversed_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((v, u) for (u, v) in self.graph.edges)
+        return tuple((v, u) for (u, v) in self.graph.arcs)
 
     def directions(self, orientation: OrientedGraph) -> list[bool]:
-        """Per grid edge i, True when the orientation directs it as listed,
-        edges[i][0] -> edges[i][1]; ValueError unless the orientation directs
-        exactly this grid's edges.
+        """Per grid edge i, True when the orientation directs it as
+        grid.graph directs it, graph.arcs[i]; ValueError unless the
+        orientation directs exactly this grid's edges.
 
-        Orientations built from the grid's edges (orient,
+        Orientations built from the grid's graph (orient,
         random_orientation, enumerate_orientations, and files that
         serialize_digraph wrote from them) list arc i on edge i, which two
         elementwise passes confirm; arcs listed in any other order are
@@ -87,7 +89,7 @@ class HexGrid(Record):
         """
         if orientation.n_vertices != self.graph.n_vertices:
             raise ValueError("orientation and grid disagree on vertex count")
-        arcs, edges, reverse = orientation.arcs, self.graph.edges, self._reversed_edges
+        arcs, edges, reverse = orientation.arcs, self.graph.arcs, self._reversed_edges
         # arcs hold no duplicate or opposite pair, so covering every edge with
         # as many arcs as edges directs exactly the grid's edges
         if len(arcs) != len(edges):
@@ -111,10 +113,10 @@ class HexGrid(Record):
         v0, v1, v2, anchor, whose anchor lies above v2; e0, e1, e2 are the
         walk's edges in order, listed v0 -> v1, v1 -> v2 and anchor -> v2,
         so the walk crosses e2 against its listing. RuntimeError when the
-        grid lacks an edge or lists it the other way. The shape's
+        grid's graph lacks an edge or directs it the other way. The shape's
         invariants are checked here.
         """
-        index, edges = self.index, self.graph.edges
+        index, edges = self.index, self.graph.arcs
         at = dict(zip(edges, range(len(edges))))
 
         def above(i: int, j: int) -> int | None:
@@ -183,7 +185,7 @@ def build_hex_grid(m: int, n: int) -> HexGrid:
             edges.append((index[(i, j)], index[(i, j + 1)]))
         if (i + j) % 2 == 0 and (i + 1, j) in index:
             edges.append((index[(i, j)], index[(i + 1, j)]))
-    grid = HexGrid(m, n, UndirectedGraph(len(coords), tuple(edges)), tuple(coords))
+    grid = HexGrid(m, n, OrientedGraph(len(coords), tuple(edges)), tuple(coords))
     # seed the cached property: it is not a field, so equality and hashing ignore it
     object.__setattr__(grid, "index", index)
     return grid
@@ -318,7 +320,7 @@ def orientation_extending(
             raise ValueError(f"conflicting directions forced for edge {key}")
         forced[key] = (u, v)
     # a grid may list an edge either way round; forced holds it low-to-high
-    keys = [(u, v) if u < v else (v, u) for (u, v) in grid.graph.edges]
+    keys = [(u, v) if u < v else (v, u) for (u, v) in grid.graph.arcs]
     key_set = set(keys)
     unknown = [key for key in forced if key not in key_set]
     if unknown:

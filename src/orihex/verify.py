@@ -98,15 +98,13 @@ class CheckRecord(Record):
         return {**vars(self), "elapsed_s": round(self.elapsed_s, 4)}
 
 
-class VerificationReport(Record, frozen=False):
+class VerificationReport(Record):
     seed: int
     scale: str
     checks: list[CheckRecord]
 
     def __init__(self, seed: int, scale: str, checks: list[CheckRecord] | None = None):
-        self.seed = seed
-        self.scale = scale
-        self.checks = [] if checks is None else checks
+        self.__dict__.update(seed=seed, scale=scale, checks=[] if checks is None else checks)
 
     @property
     def overall(self) -> str:

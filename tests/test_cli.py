@@ -245,7 +245,7 @@ def test_hex_gen_parses_and_is_deterministic(capsys):
     g = parse_digraph(out)
     grid = build_hex_grid(3, 4)
     assert g.n_vertices == grid.graph.n_vertices
-    assert len(g.arcs) == len(grid.graph.edges)
+    assert len(g.arcs) == len(grid.graph.arcs)
     code, out2, _ = run(capsys, "hex", "gen", "-m", "3", "-n", "4", "--seed", "6")
     assert out2 == out
 
@@ -491,12 +491,14 @@ def test_python_dash_m_runs_the_cli():
     assert len(done.stdout.splitlines()) == 2
 
 
-def test_reader_closing_stdout_exits_141_quietly():
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_reader_closing_stdout_exits_141_quietly(unbuffered):
     # more output than a pipe buffer holds, so a write meets the closed
-    # pipe; an unbuffered stdout (PYTHONUNBUFFERED) drops the rest of a
-    # partial write without an error, so the child keeps the default buffering
+    # pipe; unbuffered, the pipe takes part of one write before it closes
     env = _src_env()
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "orihex", "hex", "gen", "-m", "100", "-n", "100", "--seed", "1"]
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert len(proc.stdout.read(10)) == 10

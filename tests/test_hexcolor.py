@@ -6,7 +6,6 @@ import pytest
 from orihex import hexcolor
 from orihex.digraph import (
     OrientedGraph,
-    UndirectedGraph,
     enumerate_orientations,
     random_orientation,
 )
@@ -153,7 +152,7 @@ def test_coloring_deterministic():
 
 def _names_its_edges(grid, walked):
     """Each (x, y, e) names the edge it constrains: grid edge e, listed as (x, y)."""
-    edges = grid.graph.edges
+    edges = grid.graph.arcs
     return all(edges[e] == (x, y) for (x, y, e) in walked)
 
 
@@ -202,7 +201,7 @@ def test_sweep_schedule_constrains_each_edge_once():
             assert _names_its_edges(grid, walked)
             constrained = [(x, y) for (x, y, _) in walked]
             assert len(constrained) == len(set(constrained))
-            assert set(constrained) == set(grid.graph.edges)
+            assert set(constrained) == set(grid.graph.arcs)
 
 
 def test_color_hex_golden():
@@ -316,8 +315,8 @@ def test_color_hex_refuses_edges_listed_high_to_low():
     """The sweep needs each edge listed from its smaller coordinate; a grid
     that lists them the other way is refused at the first edge it looks up."""
     base = build_hex_grid(1, 1)
-    reversed_edges = tuple((v, u) for (u, v) in base.graph.edges)
-    grid = HexGrid(1, 1, UndirectedGraph(6, reversed_edges), base.coords)
+    reversed_edges = tuple((v, u) for (u, v) in base.graph.arcs)
+    grid = HexGrid(1, 1, OrientedGraph(6, reversed_edges), base.coords)
     oriented = random_orientation(grid.graph, 3)
     assert base.coords[:2] == ((1, 1), (1, 2))
     with pytest.raises(RuntimeError, match=r"^grid graph does not list the edge \(0, 1\)$"):
@@ -335,9 +334,9 @@ def test_renumbered_grid_colors():
     coords = [None] * len(perm)
     for v, c in enumerate(base.coords):
         coords[perm[v]] = c
-    edges = [(perm[u], perm[v]) for (u, v) in base.graph.edges]
+    edges = [(perm[u], perm[v]) for (u, v) in base.graph.arcs]
     rng.shuffle(edges)
-    grid = HexGrid(3, 4, UndirectedGraph(len(perm), tuple(edges)), tuple(coords))
+    grid = HexGrid(3, 4, OrientedGraph(len(perm), tuple(edges)), tuple(coords))
     for seed in range(20):
         oriented = random_orientation(grid.graph, seed)
         assert validate_homomorphism(oriented, A6, color_hex(grid, oriented))

@@ -4,7 +4,7 @@ from collections import deque
 
 import pytest
 
-from orihex.digraph import MAX_VERTICES, OrientedGraph, UndirectedGraph, random_orientation
+from orihex.digraph import MAX_VERTICES, OrientedGraph, random_orientation
 from orihex.hexgrid import (
     AxialFixture,
     HexGrid,
@@ -42,13 +42,16 @@ def undirected_adjacency(g: OrientedGraph):
 def test_single_hexagon():
     grid = build_hex_grid(1, 1)
     assert grid.graph.n_vertices == 6
-    assert len(grid.graph.edges) == 6
+    assert len(grid.graph.arcs) == 6
+    # the grid's graph is its reference orientation: each edge from its smaller coordinate
+    assert type(grid.graph) is OrientedGraph
+    assert all(grid.coords[u] < grid.coords[v] for (u, v) in grid.graph.arcs)
 
 
 def test_three_by_four_matches_reference_layout():
     grid = build_hex_grid(3, 4)
     assert grid.graph.n_vertices == 38
-    assert len(grid.graph.edges) == 49
+    assert len(grid.graph.arcs) == 49
     rows = {}
     for (i, j) in grid.coords:
         rows.setdefault(i, []).append(j)
@@ -68,7 +71,7 @@ def test_built_index_matches_coords_and_is_not_compared():
 def test_single_row_closed_forms(n):
     grid = build_hex_grid(1, n)
     assert grid.graph.n_vertices == 4 * n + 2
-    assert len(grid.graph.edges) == 5 * n + 1
+    assert len(grid.graph.arcs) == 5 * n + 1
 
 
 def test_vertex_count_sums_the_row_spans():
@@ -99,7 +102,7 @@ def test_bipartite_and_degree_bound_small_range():
         for n in range(1, 9):
             grid = build_hex_grid(m, n)
             adj = [[] for _ in range(grid.graph.n_vertices)]
-            for (u, v) in grid.graph.edges:
+            for (u, v) in grid.graph.arcs:
                 adj[u].append(v)
                 adj[v].append(u)
             assert max(len(ns) for ns in adj) <= 3
@@ -120,7 +123,7 @@ def test_euler_face_count():
     for m in range(1, 9):
         for n in range(1, 9):
             grid = build_hex_grid(m, n)
-            faces = len(grid.graph.edges) - grid.graph.n_vertices + 2
+            faces = len(grid.graph.arcs) - grid.graph.n_vertices + 2
             assert faces == m * n + 1
 
 
@@ -130,7 +133,7 @@ def test_hex_grid_embeds_in_square_grid():
     for (m, n) in [(1, 1), (2, 3), (3, 4)]:
         grid = build_hex_grid(m, n)
         assert all(1 <= i <= m + 1 and 1 <= j <= 2 * n + m for (i, j) in grid.coords)
-        for (a, b) in grid.graph.edges:
+        for (a, b) in grid.graph.arcs:
             (i1, j1), (i2, j2) = grid.coords[a], grid.coords[b]
             assert abs(i1 - i2) + abs(j1 - j2) == 1
 
@@ -236,7 +239,7 @@ def test_place_h4_in_host_grid():
     placement = place_fixture(f, grid)
     assert placement is not None
     assert len(set(placement)) == 18
-    edges = {frozenset(e) for e in grid.graph.edges}
+    edges = {frozenset(e) for e in grid.graph.arcs}
     for (u, v) in f.graph.arcs:
         assert frozenset((placement[u], placement[v])) in edges
 
@@ -247,7 +250,7 @@ def test_place_rejects_too_small_host():
 
 def test_orientation_extending():
     grid = build_hex_grid(2, 2)
-    forced = [(grid.graph.edges[0][1], grid.graph.edges[0][0])]
+    forced = [(grid.graph.arcs[0][1], grid.graph.arcs[0][0])]
     oriented = orientation_extending(grid, forced, seed=3)
     assert forced[0] in oriented.arc_set
     assert oriented.arcs == orientation_extending(grid, forced, seed=3).arcs
@@ -260,7 +263,7 @@ def test_orientation_extending():
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_orientation_extending_draws_free_edges_as_random_orientation(seed):
     grid = build_hex_grid(3, 3)
-    u, v = grid.graph.edges[0]
+    u, v = grid.graph.arcs[0]
     drawn = random_orientation(grid.graph, seed).arcs
     for forced in ((u, v), (v, u)):
         arcs = orientation_extending(grid, [forced], seed).arcs
@@ -270,8 +273,8 @@ def test_orientation_extending_draws_free_edges_as_random_orientation(seed):
 
 def test_orientation_extending_edges_listed_high_to_low():
     base = build_hex_grid(1, 1)
-    reversed_edges = tuple((v, u) for (u, v) in base.graph.edges)
-    grid = HexGrid(1, 1, UndirectedGraph(6, reversed_edges), base.coords)
+    reversed_edges = tuple((v, u) for (u, v) in base.graph.arcs)
+    grid = HexGrid(1, 1, OrientedGraph(6, reversed_edges), base.coords)
     assert (1, 0) in reversed_edges
     oriented = orientation_extending(grid, [(0, 1)], seed=2)
     assert (0, 1) in oriented.arc_set
@@ -284,7 +287,7 @@ def test_directions_same_in_any_arc_order():
     rng = random.Random(0)
     for seed in range(5):
         oriented = random_orientation(grid.graph, seed)
-        expected = [e in oriented.arc_set for e in grid.graph.edges]
+        expected = [e in oriented.arc_set for e in grid.graph.arcs]
         shuffled = list(oriented.arcs)
         rng.shuffle(shuffled)
         for arcs in (oriented.arcs, tuple(shuffled)):
@@ -295,7 +298,7 @@ def test_directions_rejects_a_non_edge_in_any_arc_order():
     grid = build_hex_grid(2, 2)
     arcs = list(random_orientation(grid.graph, 1).arcs)
     # vertices 0 and 2 are not adjacent: as many arcs as edges, one off the grid
-    assert (0, 2) not in grid.graph.edges and (2, 0) not in grid.graph.edges
+    assert (0, 2) not in grid.graph.arcs and (2, 0) not in grid.graph.arcs
     arcs[5] = (0, 2)
     for listed in (arcs, arcs[::-1]):
         with pytest.raises(ValueError, match=r"^orientation must direct exactly the grid's edges$"):
@@ -304,8 +307,8 @@ def test_directions_rejects_a_non_edge_in_any_arc_order():
 
 def test_sweep_names_an_edge_missing_from_the_graph():
     base = build_hex_grid(2, 2)
-    edges = base.graph.edges[1:]
-    grid = HexGrid(2, 2, UndirectedGraph(base.graph.n_vertices, edges), base.coords)
-    u, v = base.graph.edges[0]
+    edges = base.graph.arcs[1:]
+    grid = HexGrid(2, 2, OrientedGraph(base.graph.n_vertices, edges), base.coords)
+    u, v = base.graph.arcs[0]
     with pytest.raises(RuntimeError, match=rf"^grid graph does not list the edge \({u}, {v}\)$"):
         grid.sweep
