@@ -32,10 +32,10 @@ import itertools
 import json
 import random
 import re
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import islice
 from operator import itemgetter
-from typing import Iterable, Iterator
 
 MAX_ENUMERATION_EDGES = 24
 

@@ -19,11 +19,10 @@ lattice bipartite with maximum degree 3.
 
 from __future__ import annotations
 
-import hashlib
+import os
+from collections.abc import Iterable
 from functools import cache, cached_property
-from importlib import resources
 from operator import eq, or_
-from typing import Iterable
 
 from .digraph import (
     MAX_VERTICES,
@@ -255,11 +254,15 @@ def load_fixture(text: str) -> AxialFixture:
 
 
 def fixture_file_bytes(name: str) -> bytes:
-    """The packaged data file of the fixture with this FIXTURES name."""
-    return resources.files("orihex.data").joinpath(FIXTURES[name][0]).read_bytes()
+    """The packaged data file of the fixture with this FIXTURES name, read
+    through this module's own loader, as pkgutil.get_data reads it."""
+    path = os.path.join(os.path.dirname(__file__), "data", FIXTURES[name][0])
+    return __spec__.loader.get_data(path)
 
 
 def fixture_digest(name: str) -> str:
+    import hashlib  # maps OpenSSL's libcrypto, so only a process that digests loads it
+
     return hashlib.sha256(fixture_file_bytes(name)).hexdigest()
 
 

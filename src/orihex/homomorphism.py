@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Sequence
+from collections.abc import Sequence
 
 from .digraph import OrientedGraph, Record
 from .tournaments import Tournament, enumerate_tournaments

@@ -11,9 +11,9 @@ means i dominates j and bit 0 means j dominates i.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from functools import cache, cached_property
 from operator import itemgetter
-from typing import Sequence
 
 from .digraph import Record
 

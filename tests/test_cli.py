@@ -468,16 +468,53 @@ def test_cli_and_oracle_leave_numpy_out():
     assert done.stdout.strip() == "False"
 
 
-def test_cli_starts_without_dataclasses():
-    # -S skips site, whose .pth files may import anything; the stdlib may
-    # load inspect itself on some versions, so only dataclasses is pinned
+#: python -S probes, each with the modules it must leave out of sys.modules
+#: (-S skips site, whose .pth files may import anything). The stdlib may
+#: load inspect itself on some versions, so only dataclasses stands for the
+#: record machinery; typing is left out by every stdlib module orihex
+#: imports on 3.10-3.13, and later versions are not checked.
+IMPORT_PROBES = {
+    "cli": ("import orihex.cli",
+            ("dataclasses", "importlib.resources",
+             *(("typing",) if sys.version_info < (3, 14) else ()))),
+    "round-trip": ("import orihex\n"
+                   "grid = orihex.build_hex_grid(3, 4)\n"
+                   "g = orihex.random_orientation(grid.graph, 1)\n"
+                   "assert orihex.parse_digraph(orihex.serialize_digraph(g)) == g\n"
+                   "orihex.color_hex(grid, g)",
+                   ("hashlib", "orihex.homomorphism", "orihex.verify", "orihex.opl",
+                    "importlib.resources")),
+}
+
+
+@pytest.mark.parametrize("case", IMPORT_PROBES)
+def test_clean_interpreter_leaves_modules_out(case):
+    code, absent = IMPORT_PROBES[case]
     src = str(Path(cli.__file__).resolve().parents[1])
-    probe = (f"import sys; sys.path.insert(0, {src!r})\n"
-             "import orihex.cli\n"
-             "print('dataclasses' in sys.modules)")
+    probe = (f"import sys; sys.path.insert(0, {src!r})\n{code}\n"
+             f"print(*[m for m in {absent!r} if m in sys.modules])")
     done = subprocess.run([sys.executable, "-S", "-c", probe],
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == []
+
+
+def test_package_exports_each_name_from_its_defining_module():
+    import orihex
+
+    for name in orihex.__all__:
+        if name == "__version__":
+            continue
+        value = orihex.__getattr__(name)  # the lazy path, even once the name is bound
+        home = sys.modules[value.__module__]
+        assert home.__name__.startswith("orihex.") and getattr(home, name) is value, name
+        assert getattr(orihex, name) is value
+    star = {}
+    exec("from orihex import *", star)
+    assert set(orihex.__all__) <= star.keys()
+    assert set(orihex.__all__) <= set(dir(orihex))
+    assert orihex.__getattr__("hexcolor") is sys.modules["orihex.hexcolor"]
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        orihex.no_such_name
 
 
 def test_python_dash_m_runs_the_cli():
