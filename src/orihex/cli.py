@@ -78,10 +78,17 @@ def _write(text: str) -> None:
     """Every command's one stdout writer. It hands the bytes to stdout's
     buffer until all are taken: unbuffered, that buffer is the raw file,
     whose write may take part of them, and the text layer would drop the
-    rest without an error, so a reader that closed early would go unseen."""
-    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    rest without an error, so a reader that closed early would go unseen.
+    A text stream with no binary buffer, such as io.StringIO, takes the
+    text itself."""
+    out = sys.stdout
+    buffer = getattr(out, "buffer", None)
+    if buffer is None:
+        out.write(text)
+        return
+    data = memoryview(text.encode(out.encoding, out.errors))
     while data:
-        data = data[sys.stdout.buffer.write(data):]
+        data = data[buffer.write(data):]
 
 
 def _grid_orientation(args) -> tuple:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable
 from functools import cache, cached_property
+from itertools import repeat
 from operator import eq, or_
 
 from .digraph import (
@@ -53,8 +54,10 @@ class HexGrid(Record):
     build_hex_grid builds it and as the sweep needs it. orient,
     random_orientation and enumerate_orientations direct grid edge i by
     one bit: 1 as grid.graph directs it, 0 reversed. build_hex_grid
-    numbers the vertices in row-major (i, j) order; the sweep reads
-    coordinates through index, so any numbering colors.
+    numbers the vertices row by row: (i, j) is row i's first number plus
+    j - lo, with lo from hex_row_span(m, n, i), and it seeds index with
+    that numbering. The sweep reads coordinates through index, so any
+    numbering colors.
     """
 
     m: int
@@ -167,26 +170,48 @@ def hex_vertex_count(m: int, n: int) -> int:
 
 def build_hex_grid(m: int, n: int) -> HexGrid:
     """Construct the hexagonal grid with m rows of n hexagons; at most
-    MAX_VERTICES vertices."""
+    MAX_VERTICES vertices.
+
+    Vertex numbers and edges come from the row spans alone. Rows are
+    numbered in turn, so (i, j) is the number of row i's first vertex plus
+    j - lo, where (lo, hi) = hex_row_span(m, n, i). Edges are listed in
+    row-major vertex order, each vertex's horizontal edge (v, v+1), for
+    j < hi, before its vertical edge to (i+1, j), for i <= m and i+j even.
+    The graph goes through OrientedGraph's arc check, and index is seeded
+    here, not on a coloring's first lookup.
+    """
     if m < 1 or n < 1:
         raise ValueError("grid dimensions must be positive")
     count = hex_vertex_count(m, n)
     if count > MAX_VERTICES:
         raise ValueError(f"a {m} x {n} grid has {count} vertices, over the limit {MAX_VERTICES}")
-    coords = []
+    # one int object per vertex number, shared by the arcs and index: an
+    # int made per arc endpoint would add about 1.4 MB to H_{100,100}
+    numbers = list(range(count))
+    coords: list[tuple[int, int]] = []
+    edges: list[tuple[int, int]] = []
+    start = 0
     for i in range(1, m + 2):
         lo, hi = hex_row_span(m, n, i)
-        coords.extend((i, j) for j in range(lo, hi + 1))
-    index = {c: v for v, c in enumerate(coords)}
-    edges = []
-    for (i, j) in coords:
-        if (i, j + 1) in index:
-            edges.append((index[(i, j)], index[(i, j + 1)]))
-        if (i + j) % 2 == 0 and (i + 1, j) in index:
-            edges.append((index[(i, j)], index[(i + 1, j)]))
-    grid = HexGrid(m, n, OrientedGraph(len(coords), tuple(edges)), tuple(coords))
+        end = start + hi - lo + 1
+        coords.extend(zip(repeat(i), range(lo, hi + 1)))
+        row = numbers[start:end]
+        # slot 2k holds the horizontal edge of (i, lo+k), slot 2k+1 its
+        # vertical edge; empty slots are dropped
+        slots = [None] * (2 * len(row))
+        slots[0:-2:2] = zip(row, row[1:])
+        if i <= m:
+            # (i+1, lo+k) is numbered below + k. Row i+1 spans every column of
+            # row i except lo = i-1 when i > 1, where i+j is odd, so every
+            # column with i+j even, from lo + skip on, has a vertex below.
+            below = end + lo - hex_row_span(m, n, i + 1)[0]
+            skip = (i + lo) % 2
+            slots[2 * skip + 1::4] = zip(row[skip::2], numbers[below + skip:below + len(row):2])
+        edges.extend(filter(None, slots))
+        start = end
+    grid = HexGrid(m, n, OrientedGraph(count, tuple(edges)), tuple(coords))
     # seed the cached property: it is not a field, so equality and hashing ignore it
-    object.__setattr__(grid, "index", index)
+    object.__setattr__(grid, "index", dict(zip(coords, numbers)))
     return grid
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -558,6 +560,13 @@ def test_output_to_a_pipe_closed_before_start_exits_141_quietly():
         os.close(write_end)
     assert done.returncode == 141
     assert done.stderr == b""
+
+
+def test_output_to_a_text_stream_without_a_buffer():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.cli_dispatch(["tourn", "list", "-k", "3"]) == 0
+    assert out.getvalue() == "3:000\n3:010\n"
 
 
 def test_installed_binary_exit_codes(tmp_path):

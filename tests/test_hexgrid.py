@@ -67,6 +67,42 @@ def test_built_index_matches_coords_and_is_not_compared():
     assert plain.index == grid.index
 
 
+def reference_hex_grid(m, n):
+    """The grid built by coordinate lookups: every vertex's right and lower
+    neighbors are found in a coordinate dict."""
+    coords = []
+    for i in range(1, m + 2):
+        lo, hi = hex_row_span(m, n, i)
+        coords.extend((i, j) for j in range(lo, hi + 1))
+    index = {c: v for v, c in enumerate(coords)}
+    edges = []
+    for (i, j) in coords:
+        if (i, j + 1) in index:
+            edges.append((index[(i, j)], index[(i, j + 1)]))
+        if (i + j) % 2 == 0 and (i + 1, j) in index:
+            edges.append((index[(i, j)], index[(i + 1, j)]))
+    return tuple(coords), tuple(edges), index
+
+
+def test_row_arithmetic_matches_coordinate_lookups():
+    shapes = [(m, n) for m in range(1, 31) for n in range(1, 31)] + [(50, 50), (100, 100)]
+    for (m, n) in shapes:
+        grid = build_hex_grid(m, n)
+        coords, edges, index = reference_hex_grid(m, n)
+        assert grid.coords == coords, (m, n)
+        assert grid.graph.arcs == edges, (m, n)
+        assert list(grid.index.items()) == list(index.items()), (m, n)
+
+
+def test_arc_endpoints_are_the_index_numbers():
+    # one int object per vertex: an int per arc endpoint would add about
+    # 1.4 MB to H_{100,100}
+    grid = build_hex_grid(100, 100)
+    numbers = list(grid.index.values())
+    assert numbers == list(range(grid.graph.n_vertices))
+    assert all(numbers[u] is u and numbers[v] is v for (u, v) in grid.graph.arcs)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_single_row_closed_forms(n):
     grid = build_hex_grid(1, n)
