@@ -186,7 +186,7 @@ def build_hex_grid(m: int, n: int) -> HexGrid:
     if count > MAX_VERTICES:
         raise ValueError(f"a {m} x {n} grid has {count} vertices, over the limit {MAX_VERTICES}")
     # one int object per vertex number, shared by the arcs and index: an
-    # int made per arc endpoint would add about 1.4 MB to H_{100,100}
+    # int made per arc endpoint would add about 1.5 MB to H_{100,100}
     numbers = list(range(count))
     coords: list[tuple[int, int]] = []
     edges: list[tuple[int, int]] = []

@@ -96,7 +96,7 @@ def test_row_arithmetic_matches_coordinate_lookups():
 
 def test_arc_endpoints_are_the_index_numbers():
     # one int object per vertex: an int per arc endpoint would add about
-    # 1.4 MB to H_{100,100}
+    # 1.5 MB to H_{100,100}
     grid = build_hex_grid(100, 100)
     numbers = list(grid.index.values())
     assert numbers == list(range(grid.graph.n_vertices))
