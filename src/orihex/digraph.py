@@ -203,9 +203,9 @@ class OrientedGraph(Record):
 def _unchecked(n_vertices: int, arcs: tuple[tuple[int, int], ...]) -> OrientedGraph:
     """An OrientedGraph made without its arc check, for arcs whose source
     already rules out every fault: fields set on a bare instance with no
-    __init__ run, as build_hex_grid sets HexGrid.index. A grid's own graph
-    is not made here: build_hex_grid computes its edges from the row spans
-    and passes them through the constructor's check."""
+    __init__ run. A grid's own graph is not made here: HexGrid computes its
+    edges from the row spans and passes them through the constructor's
+    check."""
     graph = object.__new__(OrientedGraph)
     object.__setattr__(graph, "n_vertices", n_vertices)
     object.__setattr__(graph, "arcs", arcs)

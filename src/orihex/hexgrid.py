@@ -15,6 +15,10 @@ neighbor offsets are fixed by that class:
 
 Adjacent lattice points always have opposite classes, which makes the
 lattice bipartite with maximum degree 3.
+
+A HexGrid is its shape (m, n). Its graph and its row sweep are computed
+from the row spans, the sweep as one short record per row; coordinates
+and the coordinate index are built only when something reads them.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable
 from functools import cache, cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from operator import eq, or_
 
 from .digraph import (
@@ -45,33 +49,76 @@ FIXTURES = {
             "1d57d99f8f5e347e866795409efee246c7f916bd7dba6ccc73815e78333b566f", 126, 174),
 }
 
+#: a greedy step (v, anchor, e) or a pair step (v0, v1, v2, anchor, e0, e1, e2)
+_Step = tuple[int, ...]
+#: one row of HexGrid.sweep after the first: (head, run, last, tail)
+_SweepRow = tuple[_Step, tuple[int, ...], _Step, tuple[_Step, ...]]
+
 
 class HexGrid(Record):
-    """Hexagonal grid: m rows of n hexagons, vertex v at coords[v] = (i, j).
+    """Hexagonal grid: m rows of n hexagons. A grid is its shape: it
+    compares, hashes and prints by m and n alone.
 
-    graph is the grid's reference orientation, each edge directed from its
-    smaller coordinate: (i, j) -> (i, j+1) and (i, j) -> (i+1, j), as
-    build_hex_grid builds it and as the sweep needs it. orient,
-    random_orientation and enumerate_orientations direct grid edge i by
-    one bit: 1 as grid.graph directs it, 0 reversed. build_hex_grid
-    numbers the vertices row by row: (i, j) is row i's first number plus
-    j - lo, with lo from hex_row_span(m, n, i), and it seeds index with
-    that numbering. The sweep reads coordinates through index, so any
-    numbering colors.
+    HexGrid(m, n) checks the bounds and builds graph, the grid's reference
+    orientation, each edge directed from its smaller coordinate:
+    (i, j) -> (i, j+1) and (i, j) -> (i+1, j). orient, random_orientation
+    and enumerate_orientations direct grid edge i by one bit: 1 as
+    grid.graph directs it, 0 reversed.
+
+    Vertex and edge numbers come from the row spans alone. Rows are
+    numbered in turn, so (i, j) is the number of row i's first vertex plus
+    j - lo, where (lo, hi) = hex_row_span(m, n, i). Edges are listed in
+    row-major vertex order, each vertex's horizontal edge (v, v+1), for
+    j < hi, before its vertical edge to (i+1, j), for i <= m and i+j even.
+    The sweep is computed from the same layout. coords and index, which
+    only fixture placement and the CLI's text output read, are built on
+    first use.
     """
 
     m: int
     n: int
-    graph: OrientedGraph
-    coords: tuple[tuple[int, int], ...]
 
-    def __init__(
-        self, m: int, n: int, graph: OrientedGraph, coords: tuple[tuple[int, int], ...]
-    ):
-        self.__dict__.update(m=m, n=n, graph=graph, coords=coords)
+    def __init__(self, m: int, n: int):
+        if m < 1 or n < 1:
+            raise ValueError("grid dimensions must be positive")
+        count = hex_vertex_count(m, n)
+        if count > MAX_VERTICES:
+            raise ValueError(f"a {m} x {n} grid has {count} vertices, over the limit {MAX_VERTICES}")
+        # one int object per vertex number, shared by the arcs: an int made
+        # per arc endpoint would add about 1.5 MB to H_{100,100}
+        numbers = list(range(count))
+        edges: list[tuple[int, int]] = []
+        start = 0
+        for i in range(1, m + 2):
+            lo, hi = hex_row_span(m, n, i)
+            end = start + hi - lo + 1
+            row = numbers[start:end]
+            # slot 2k holds the horizontal edge of (i, lo+k), slot 2k+1 its
+            # vertical edge; empty slots are dropped
+            slots = [None] * (2 * len(row))
+            slots[0:-2:2] = zip(row, row[1:])
+            if i <= m:
+                # (i+1, lo+k) is numbered below + k. Row i+1 spans every column of
+                # row i except lo = i-1 when i > 1, where i+j is odd, so every
+                # column with i+j even, from lo + skip on, has a vertex below.
+                below = end + lo - hex_row_span(m, n, i + 1)[0]
+                skip = (i + lo) % 2
+                slots[2 * skip + 1::4] = zip(row[skip::2], numbers[below + skip:below + len(row):2])
+            edges.extend(filter(None, slots))
+            start = end
+        self.__dict__.update(m=m, n=n, graph=OrientedGraph(count, tuple(edges)))
+
+    @cached_property
+    def coords(self) -> tuple[tuple[int, int], ...]:
+        """(i, j) of each vertex, by vertex number."""
+        spans = (hex_row_span(self.m, self.n, i) for i in range(1, self.m + 2))
+        return tuple(chain.from_iterable(
+            zip(repeat(i), range(lo, hi + 1)) for i, (lo, hi) in enumerate(spans, 1)
+        ))
 
     @cached_property
     def index(self) -> dict[tuple[int, int], int]:
+        """The vertex number of each (i, j)."""
         return {c: v for v, c in enumerate(self.coords)}
 
     @cached_property
@@ -105,55 +152,80 @@ class HexGrid(Record):
         return along
 
     @cached_property
-    def sweep(self) -> tuple[tuple[int, ...], ...]:
-        """The row sweep that colors any orientation, as steps over the vertices.
+    def sweep(self) -> tuple[tuple[_Step, ...], tuple[_SweepRow, ...]]:
+        """The row sweep that colors any orientation, as (first, rows).
 
-        Vertex (1, 1) keeps its initial color and has no step. A greedy step
-        (v, anchor, e) colors v against its colored neighbor anchor across
-        grid edge e, listed anchor -> v. A pair step
+        Vertex (1, 1) keeps its initial color and has no step. A greedy
+        step (v, anchor, e) colors v against its colored neighbor anchor
+        across grid edge e, listed anchor -> v. A pair step
         (v0, v1, v2, anchor, e0, e1, e2) colors v1, v2 by the walk
         v0, v1, v2, anchor, whose anchor lies above v2; e0, e1, e2 are the
         walk's edges in order, listed v0 -> v1, v1 -> v2 and anchor -> v2,
-        so the walk crosses e2 against its listing. RuntimeError when the
-        grid's graph lacks an edge or directs it the other way. The shape's
-        invariants are checked here.
+        so the walk crosses e2 against its listing. In every pair step,
+        v1 = v0+1, v2 = v0+2 and e1 = e0+1.
+
+        first holds the greedy steps of row 1, left to right. rows holds
+        one record (head, run, last, tail) for each later row, in order:
+          * head, the greedy step of the row's first vertex against the
+            vertex above it;
+          * run = (v0, anchor, e0, e2, s0, s2, count), the count pair
+            steps whose v0, anchor, e0 and e2 start there and advance by
+            2, 2, s0 and s2;
+          * last, the row's last pair step, whose anchor ends the row
+            above, so that its e2 follows the run's by 2, not s2;
+          * tail, the greedy steps after it, each against its left neighbor.
+        Each record is O(1) arithmetic on the row spans and on the edge
+        layout that the constructor lists.
         """
-        index, edges = self.index, self.graph.arcs
-        at = dict(zip(edges, range(len(edges))))
+        m, n = self.m, self.n
+        lo_a, hi_a = hex_row_span(m, n, 1)
+        above = _RowEdges(0, hi_a - lo_a + 1, (1 + lo_a) % 2, True)
+        first = tuple((k, k - 1, above.right(k - 1)) for k in range(1, above.width))
+        rows = []
+        va = 0  # number of the first vertex of the row above
+        for i in range(2, m + 2):
+            lo, hi = hex_row_span(m, n, i)
+            vs = va + above.width
+            here = _RowEdges(above.end, hi - lo + 1, (i + lo) % 2, i <= m)
+            # (i, lo) is at offset off in the row above; pair t's anchor is at
+            # offset off + 2t + 2, up to the end of the shorter of the two rows
+            off = lo - lo_a
+            pairs = (min(hi, hi_a) - lo) // 2
+            down, right = above.down, here.right
+            v_last, e_last = vs + 2 * pairs - 2, right(2 * pairs - 2)
+            rows.append((
+                (vs, va + off, down(off)),
+                (vs, va + off + 2, right(0), down(off + 2), right(2) - right(0),
+                 down(off + 4) - down(off + 2), pairs - 1),
+                (v_last, v_last + 1, v_last + 2, va + off + 2 * pairs, e_last, e_last + 1,
+                 down(off + 2 * pairs)),
+                tuple((vs + k, vs + k - 1, right(k - 1)) for k in range(2 * pairs + 1, here.width)),
+            ))
+            lo_a, hi_a, va, above = lo, hi, vs, here
+        return first, tuple(rows)
 
-        def above(i: int, j: int) -> int | None:
-            # (i-1, j) has an edge down to (i, j) exactly when i-1+j is even
-            return index.get((i - 1, j)) if (i - 1 + j) % 2 == 0 else None
 
-        def edge(u: int, v: int) -> int:
-            e = at.get((u, v))
-            if e is None:
-                raise RuntimeError(f"grid graph does not list the edge ({u}, {v})")
-            return e
+class _RowEdges:
+    """The edge numbers of one grid row, by vertex offset k from the row's
+    start, as HexGrid lists them: the row's edges are numbered from
+    first on, each vertex's horizontal edge before its vertical one, and
+    vertical edges leave the offsets skip, skip + 2, ... when the row has
+    a row below."""
 
-        def greedy(v: int, a: int) -> tuple[int, int, int]:
-            return v, a, edge(a, v)
+    def __init__(self, first: int, width: int, skip: int, vertical: bool):
+        self.first, self.width, self.skip, self.vertical = first, width, skip, vertical
+        #: number of the first edge of the next row
+        self.end = first + width - 1 + vertical * ((width - skip + 1) // 2)
 
-        lo, hi = hex_row_span(self.m, self.n, 1)
-        steps: list[tuple[int, ...]] = [
-            greedy(index[(1, j)], index[(1, j - 1)]) for j in range(lo + 1, hi + 1)
-        ]
-        for i in range(2, self.m + 2):
-            lo, hi = hex_row_span(self.m, self.n, i)
-            anchor = above(i, lo)
-            if anchor is None:
-                raise RuntimeError("row start has no anchor above")
-            steps.append(greedy(index[(i, lo)], anchor))
-            j = lo
-            while j + 2 <= hi and (anchor := above(i, j + 2)) is not None:
-                v0, v1, v2 = index[(i, j)], index[(i, j + 1)], index[(i, j + 2)]
-                steps.append((v0, v1, v2, anchor, edge(v0, v1), edge(v1, v2), edge(anchor, v2)))
-                j += 2
-            for j in range(j + 1, hi + 1):
-                if above(i, j) is not None:
-                    raise RuntimeError("tail vertex unexpectedly anchored above")
-                steps.append(greedy(index[(i, j)], index[(i, j - 1)]))
-        return tuple(steps)
+    def right(self, k: int) -> int:
+        """The horizontal edge from offset k: k horizontal edges and the
+        vertical edges of the offsets below k come before it."""
+        return self.first + k + self.vertical * ((k + 1 - self.skip) // 2)
+
+    def down(self, k: int) -> int:
+        """The vertical edge from offset k, k - skip even, which follows its
+        horizontal edge unless k ends the row."""
+        return self.first + min(k + 1, self.width - 1) + (k - self.skip) // 2
 
 
 def hex_row_span(m: int, n: int, i: int) -> tuple[int, int]:
@@ -170,49 +242,8 @@ def hex_vertex_count(m: int, n: int) -> int:
 
 def build_hex_grid(m: int, n: int) -> HexGrid:
     """Construct the hexagonal grid with m rows of n hexagons; at most
-    MAX_VERTICES vertices.
-
-    Vertex numbers and edges come from the row spans alone. Rows are
-    numbered in turn, so (i, j) is the number of row i's first vertex plus
-    j - lo, where (lo, hi) = hex_row_span(m, n, i). Edges are listed in
-    row-major vertex order, each vertex's horizontal edge (v, v+1), for
-    j < hi, before its vertical edge to (i+1, j), for i <= m and i+j even.
-    The graph goes through OrientedGraph's arc check, and index is seeded
-    here, not on a coloring's first lookup.
-    """
-    if m < 1 or n < 1:
-        raise ValueError("grid dimensions must be positive")
-    count = hex_vertex_count(m, n)
-    if count > MAX_VERTICES:
-        raise ValueError(f"a {m} x {n} grid has {count} vertices, over the limit {MAX_VERTICES}")
-    # one int object per vertex number, shared by the arcs and index: an
-    # int made per arc endpoint would add about 1.5 MB to H_{100,100}
-    numbers = list(range(count))
-    coords: list[tuple[int, int]] = []
-    edges: list[tuple[int, int]] = []
-    start = 0
-    for i in range(1, m + 2):
-        lo, hi = hex_row_span(m, n, i)
-        end = start + hi - lo + 1
-        coords.extend(zip(repeat(i), range(lo, hi + 1)))
-        row = numbers[start:end]
-        # slot 2k holds the horizontal edge of (i, lo+k), slot 2k+1 its
-        # vertical edge; empty slots are dropped
-        slots = [None] * (2 * len(row))
-        slots[0:-2:2] = zip(row, row[1:])
-        if i <= m:
-            # (i+1, lo+k) is numbered below + k. Row i+1 spans every column of
-            # row i except lo = i-1 when i > 1, where i+j is odd, so every
-            # column with i+j even, from lo + skip on, has a vertex below.
-            below = end + lo - hex_row_span(m, n, i + 1)[0]
-            skip = (i + lo) % 2
-            slots[2 * skip + 1::4] = zip(row[skip::2], numbers[below + skip:below + len(row):2])
-        edges.extend(filter(None, slots))
-        start = end
-    grid = HexGrid(m, n, OrientedGraph(count, tuple(edges)), tuple(coords))
-    # seed the cached property: it is not a field, so equality and hashing ignore it
-    object.__setattr__(grid, "index", dict(zip(coords, numbers)))
-    return grid
+    MAX_VERTICES vertices. The same as HexGrid(m, n)."""
+    return HexGrid(m, n)
 
 
 class AxialFixture(Record):
@@ -347,12 +378,12 @@ def orientation_extending(
         if forced.get(key, (u, v)) != (u, v):
             raise ValueError(f"conflicting directions forced for edge {key}")
         forced[key] = (u, v)
-    # a grid may list an edge either way round; forced holds it low-to-high
-    keys = [(u, v) if u < v else (v, u) for (u, v) in grid.graph.arcs]
-    key_set = set(keys)
-    unknown = [key for key in forced if key not in key_set]
+    # a grid lists each edge low-to-high, as forced holds it
+    edges = grid.graph.arcs
+    edge_set = set(edges)
+    unknown = [key for key in forced if key not in edge_set]
     if unknown:
         raise ValueError(f"forced arcs not on grid edges: {unknown}")
     # each edge takes its forced arc, else the arc random_orientation drew
     drawn = random_orientation(grid.graph, seed).arcs
-    return OrientedGraph(grid.graph.n_vertices, tuple(map(forced.get, keys, drawn)))
+    return OrientedGraph(grid.graph.n_vertices, tuple(map(forced.get, edges, drawn)))

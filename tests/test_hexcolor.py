@@ -1,5 +1,4 @@
 import itertools
-import random
 
 import pytest
 
@@ -14,6 +13,7 @@ from orihex.hexgrid import (
     HexGrid,
     build_hex_grid,
     fixture_h4,
+    hex_row_span,
     orientation_extending,
     place_fixture,
 )
@@ -153,14 +153,72 @@ def test_coloring_deterministic():
 def _names_its_edges(grid, walked):
     """Each (x, y, e) names the edge it constrains: grid edge e, listed as (x, y)."""
     edges = grid.graph.arcs
-    return all(edges[e] == (x, y) for (x, y, e) in walked)
+    return [edges[e] for (_, _, e) in walked] == [(x, y) for (x, y, _) in walked]
+
+
+def _reference_sweep(grid):
+    """The sweep built by coordinate lookups, kept as the reference for
+    HexGrid.sweep: every step's vertices are looked up in the grid's
+    coordinate index and its edges in a dict over the grid's arcs. Greedy
+    steps (v, anchor, e) and pair steps (v0, v1, v2, anchor, e0, e1, e2),
+    in sweep order."""
+    index, edges = grid.index, grid.graph.arcs
+    at = dict(zip(edges, range(len(edges))))
+
+    def above(i, j):
+        # (i-1, j) has an edge down to (i, j) exactly when i-1+j is even
+        return index.get((i - 1, j)) if (i - 1 + j) % 2 == 0 else None
+
+    def edge(u, v):
+        e = at.get((u, v))
+        if e is None:
+            raise RuntimeError(f"grid graph does not list the edge ({u}, {v})")
+        return e
+
+    def greedy(v, a):
+        return v, a, edge(a, v)
+
+    lo, hi = hex_row_span(grid.m, grid.n, 1)
+    steps = [greedy(index[(1, j)], index[(1, j - 1)]) for j in range(lo + 1, hi + 1)]
+    for i in range(2, grid.m + 2):
+        lo, hi = hex_row_span(grid.m, grid.n, i)
+        anchor = above(i, lo)
+        if anchor is None:
+            raise RuntimeError("row start has no anchor above")
+        steps.append(greedy(index[(i, lo)], anchor))
+        j = lo
+        while j + 2 <= hi and (anchor := above(i, j + 2)) is not None:
+            v0, v1, v2 = index[(i, j)], index[(i, j + 1)], index[(i, j + 2)]
+            steps.append((v0, v1, v2, anchor, edge(v0, v1), edge(v1, v2), edge(anchor, v2)))
+            j += 2
+        for j in range(j + 1, hi + 1):
+            if above(i, j) is not None:
+                raise RuntimeError("tail vertex unexpectedly anchored above")
+            steps.append(greedy(index[(i, j)], index[(i, j - 1)]))
+    return tuple(steps)
+
+
+def _expand(sweep):
+    """HexGrid.sweep as its steps, in sweep order: row 1's greedy steps,
+    then per later row its head, its run's pair steps, its last pair step
+    and its tail."""
+    first, rows = sweep
+    steps = list(first)
+    for head, (v0, anchor, e0, e2, s0, s2, count), last, tail in rows:
+        steps.append(head)
+        for t in range(count):
+            v, e = v0 + 2 * t, e0 + s0 * t
+            steps.append((v, v + 1, v + 2, anchor + 2 * t, e, e + 1, e2 + s2 * t))
+        steps.append(last)
+        steps += tail
+    return tuple(steps)
 
 
 def test_equal_endpoint_lookups_occur():
     """The row sweep really does hit equal anchor colors, so the table must
     cover u == v."""
     grid = build_hex_grid(5, 5)
-    pairs = [step for step in grid.sweep if len(step) == 7]
+    pairs = [step for step in _expand(grid.sweep) if len(step) == 7]
     assert _names_its_edges(grid, [
         walk for (v0, v1, v2, anchor, e0, e1, e2) in pairs
         for walk in ((v0, v1, e0), (v1, v2, e1), (anchor, v2, e2))
@@ -173,35 +231,60 @@ def test_equal_endpoint_lookups_occur():
 
 
 def test_sweep_schedule_constrains_each_edge_once():
-    """For every shape up to 30 x 30: each step reads only colored vertices,
+    """For every shape up to 30 x 30, and H_{50,50} and H_{100,100}: the
+    sweep's rows expand to exactly the reference sweep's steps, and each
+    row's last pair continues its run in everything but e2, as color_hex
+    reads it. In the expansion, each step reads only colored vertices,
     every vertex is colored once, every grid edge is constrained by exactly
     one step, each step's edge indices name the edges it constrains as the
     grid lists them, and each pair step's anchor is the vertex above v2,
     joined to it by a vertical edge (even parity). Every step is a 3-tuple
     or a 7-tuple."""
-    for m in range(1, 31):
-        for n in range(1, 31):
-            grid = build_hex_grid(m, n)
-            colored = {0}
-            walked = []  # (x, y, e) of each edge a step constrains, listed (x, y)
-            for step in grid.sweep:
-                if len(step) == 3:
-                    v, anchor, e = step
-                    reads, writes = (anchor,), (v,)
-                    walked.append((anchor, v, e))
-                else:
-                    v0, v1, v2, anchor, e0, e1, e2 = step
-                    reads, writes = (v0, anchor), (v1, v2)
-                    walked += [(v0, v1, e0), (v1, v2, e1), (anchor, v2, e2)]
-                    (i, j) = grid.coords[v2]
-                    assert grid.coords[anchor] == (i - 1, j) and (i - 1 + j) % 2 == 0
-                assert colored.issuperset(reads) and colored.isdisjoint(writes)
-                colored.update(writes)
-            assert len(colored) == grid.graph.n_vertices
-            assert _names_its_edges(grid, walked)
-            constrained = [(x, y) for (x, y, _) in walked]
-            assert len(constrained) == len(set(constrained))
-            assert set(constrained) == set(grid.graph.arcs)
+    shapes = [(m, n) for m in range(1, 31) for n in range(1, 31)] + [(50, 50), (100, 100)]
+    for (m, n) in shapes:
+        grid = build_hex_grid(m, n)
+        steps = _expand(grid.sweep)
+        assert steps == _reference_sweep(grid), (m, n)
+        for _, (v0, anchor, e0, _, s0, _, count), last, _ in grid.sweep[1]:
+            v, e = v0 + 2 * count, e0 + s0 * count
+            assert last[:6] == (v, v + 1, v + 2, anchor + 2 * count, e, e + 1), (m, n)
+        coords = grid.coords
+        colored = bytearray(grid.graph.n_vertices)
+        colored[0] = 1
+        walked = []  # (x, y, e) of each edge a step constrains, listed (x, y)
+        for step in steps:
+            if len(step) == 3:
+                v, anchor, e = step
+                assert colored[anchor] and not colored[v]
+                colored[v] = 1
+                walked.append((anchor, v, e))
+            else:
+                v0, v1, v2, anchor, e0, e1, e2 = step
+                assert colored[v0] and colored[anchor] and not colored[v1] and not colored[v2]
+                colored[v1] = colored[v2] = 1
+                walked += [(v0, v1, e0), (v1, v2, e1), (anchor, v2, e2)]
+                (i, j) = coords[v2]
+                assert coords[anchor] == (i - 1, j) and (i - 1 + j) % 2 == 0
+        assert all(colored)
+        assert _names_its_edges(grid, walked)
+        constrained = [(x, y) for (x, y, _) in walked]
+        assert len(constrained) == len(set(constrained))
+        assert set(constrained) == set(grid.graph.arcs)
+
+
+def test_coloring_keeps_no_coordinates():
+    """A grid is its shape: coloring H_{100,100} builds neither its
+    coordinates nor their index, and equality, hashing and repr read m and
+    n alone, whatever the grid has cached."""
+    grid = build_hex_grid(100, 100)
+    color_hex(grid, random_orientation(grid.graph, 3))
+    assert "coords" not in grid.__dict__ and "index" not in grid.__dict__
+    assert HexGrid._fields == ("m", "n")
+    fresh = HexGrid(100, 100)
+    assert "sweep" in grid.__dict__ and "sweep" not in fresh.__dict__
+    assert grid == fresh and hash(grid) == hash(fresh) == hash((100, 100))
+    assert repr(grid) == "HexGrid(m=100, n=100)"
+    assert grid != HexGrid(100, 99) and grid != HexGrid(99, 100)
 
 
 def test_color_hex_golden():
@@ -237,8 +320,9 @@ def _bad_entry_breaking_one_arc(grid):
     """An orientation of the grid, the index of the table entry its one pair
     step reads, a wrong entry for that index, and the one arc that entry
     breaks; the arc is not the orientation's last."""
-    pair = grid.sweep[-1]
-    assert len(pair) == 7 and all(len(step) == 3 for step in grid.sweep[:-1])
+    steps = _expand(grid.sweep)
+    pair = steps[-1]
+    assert len(pair) == 7 and all(len(step) == 3 for step in steps[:-1])
     v0, v1, v2, anchor = pair[:4]
     for oriented in enumerate_orientations(grid.graph):
         colors = list(color_hex(grid, oriented))
@@ -309,37 +393,6 @@ def test_a6_is_the_only_class_with_the_path_property():
     A6's class has the three-step path property."""
     holds = [t for k in range(2, 7) for t in enumerate_tournaments(k) if check_property1(t).holds]
     assert [canonical_form(t) for t in holds] == [canonical_form(A6)]
-
-
-def test_color_hex_refuses_edges_listed_high_to_low():
-    """The sweep needs each edge listed from its smaller coordinate; a grid
-    that lists them the other way is refused at the first edge it looks up."""
-    base = build_hex_grid(1, 1)
-    reversed_edges = tuple((v, u) for (u, v) in base.graph.arcs)
-    grid = HexGrid(1, 1, OrientedGraph(6, reversed_edges), base.coords)
-    oriented = random_orientation(grid.graph, 3)
-    assert base.coords[:2] == ((1, 1), (1, 2))
-    with pytest.raises(RuntimeError, match=r"^grid graph does not list the edge \(0, 1\)$"):
-        color_hex(grid, oriented)
-
-
-def test_renumbered_grid_colors():
-    """The sweep reads coordinates, not row-major numbers: a grid whose
-    vertices are permuted and whose edges are shuffled, each still listed
-    from its smaller coordinate, colors every orientation validly."""
-    base = build_hex_grid(3, 4)
-    rng = random.Random(0)
-    perm = list(range(base.graph.n_vertices))
-    rng.shuffle(perm)
-    coords = [None] * len(perm)
-    for v, c in enumerate(base.coords):
-        coords[perm[v]] = c
-    edges = [(perm[u], perm[v]) for (u, v) in base.graph.arcs]
-    rng.shuffle(edges)
-    grid = HexGrid(3, 4, OrientedGraph(len(perm), tuple(edges)), tuple(coords))
-    for seed in range(20):
-        oriented = random_orientation(grid.graph, seed)
-        assert validate_homomorphism(oriented, A6, color_hex(grid, oriented))
 
 
 def test_certificate_for_placed_h4():

@@ -22,12 +22,11 @@ RECORDS = {
         "neighbors",
     ),
     "HexGrid": (
-        lambda: HexGrid(1, 1, OrientedGraph(2, ((0, 1),)), ((1, 1), (1, 2))),
-        lambda: HexGrid(1, 2, OrientedGraph(2, ((0, 1),)), ((1, 1), (1, 2))),
-        "HexGrid(m=1, n=1, graph=OrientedGraph(n_vertices=2, arcs=((0, 1),)),"
-        " coords=((1, 1), (1, 2)))",
+        lambda: HexGrid(1, 1),
+        lambda: HexGrid(1, 2),
+        "HexGrid(m=1, n=1)",
         True,
-        "index",
+        "coords",
     ),
     "AxialFixture": (
         lambda: AxialFixture(OrientedGraph(2, ((0, 1),)), ((0, 1), (0, 2))),
