@@ -16,14 +16,13 @@ dict too, outside the fields, so equality, hashing and repr ignore them.
 An OrientedGraph also serves as the reference direction of its edges:
 a grid's graph lists each edge from its smaller coordinate, and orient,
 enumerate_orientations and random_orientation keep or reverse its arcs,
-one bit each. Arcs are validated where they come from outside: by the
-public OrientedGraph constructor, and by the parser. The parser's line
-walk goes through the constructor; its bulk read of canonical files
-builds only pairs of vertices below n, so it checks the rest itself
-(vertex -1, loops, repeats and 2-cycles) with the constructor's own
-test. The re-orientations are built through _directed, which skips the
-check: reversing arcs of an already validated graph can make no bad
-endpoint, loop or repeat.
+one bit each. Arcs are checked where they enter the program, in the
+public OrientedGraph constructor and in the parser; a graph that orihex
+derives itself, from a checked graph or a grid's shape, is made with
+_unchecked. The parser's line walk goes through the constructor; its
+bulk read of canonical files builds only pairs of vertices below n, so
+it checks the rest itself (vertex -1, loops, repeats and 2-cycles) with
+the constructor's own test.
 """
 
 from __future__ import annotations
@@ -117,8 +116,8 @@ class OrientedGraph(Record):
     The constructor checks the arcs once, in bulk: pairs only, endpoints in
     0..n_vertices-1, no loop and no repeat in either direction, in one pass
     of C-level work. Only a graph that fails is walked arc by arc, to raise
-    ArcError for its first bad arc. The re-orientations this module derives
-    from a graph skip the check (see _directed).
+    ArcError for its first bad arc. Graphs that orihex derives itself skip
+    the check (see _unchecked).
     """
 
     n_vertices: int
@@ -201,11 +200,10 @@ class OrientedGraph(Record):
 
 
 def _unchecked(n_vertices: int, arcs: tuple[tuple[int, int], ...]) -> OrientedGraph:
-    """An OrientedGraph made without its arc check, for arcs whose source
-    already rules out every fault: fields set on a bare instance with no
-    __init__ run. A grid's own graph is not made here: HexGrid computes its
-    edges from the row spans and passes them through the constructor's
-    check."""
+    """An OrientedGraph made without its arc check, as is every graph that
+    orihex derives from a checked graph or a grid's shape, whose source
+    rules out every fault: fields set on a bare instance with no __init__
+    run. Arcs from outside go through the constructor or the parser."""
     graph = object.__new__(OrientedGraph)
     object.__setattr__(graph, "n_vertices", n_vertices)
     object.__setattr__(graph, "arcs", arcs)

@@ -16,12 +16,12 @@ color an arbitrary orientation of a hexagonal grid row by row:
     anchor two columns over in the previous row;
   * a row's final vertex has no anchor above and is colored greedily.
 
-The steps are HexGrid.sweep: row 1's greedy steps and one short record
-per later row, computed from the grid's shape and kept with the grid
-object. color_hex walks a row's pair steps with strided slices of the
-colors and of the edge directions. The tests check, for every
-m, n <= 30 and for H_{50,50} and H_{100,100}, that the records expand to
-the steps of a coordinate-lookup reference sweep, and that those steps
+The steps are HexGrid.sweep: row 1's greedy steps and one record per
+later row, kept with the grid. A record gives a row's pairs as the range
+of the vertices they color and the slices of the colors and directions
+their walks read, so color_hex does no stride arithmetic. The tests
+check, on every shape up to 30 x 30 and on larger and thin ones, that
+the records expand to a coordinate-lookup reference sweep whose steps
 constrain each grid edge exactly once. Greedy steps need every vertex of
 A6 to have in- and out-degree at least 1, which it has.
 """
@@ -132,20 +132,14 @@ def color_hex(
     first, rows = grid.sweep
     for v, a, e in first:
         colors[v] = lowest_out[colors[a]] if along[e] else lowest_in[colors[a]]
-    for (v, a, e), (v0, a0, e0, e2, s0, s2, count), last, tail in rows:
+    for (v, a, e), targets, anchors, e0s, e1s, e2s, e2_last, tail in rows:
         c = colors[v] = lowest_out[colors[a]] if along[e] else lowest_in[colors[a]]
-        # the last pair continues the run's v0, anchor and e0 strides and
-        # breaks only its e2 stride, so one loop walks both
-        stop = e0 + s0 * count + 1
-        up = along[e2:e2 + s2 * count:s2]
-        up.append(along[last[6]])
-        v = v0 + 1
-        for ca, b0, b1, b2 in zip(colors[a0:a0 + 2 * count + 1:2], along[e0:stop:s0],
-                                  along[e0 + 1:stop + 1:s0], up):
+        up = along[e2s]
+        up.append(along[e2_last])
+        for v, ca, b0, b1, b2 in zip(targets, colors[anchors], along[e0s], along[e1s], up):
             # the walk crosses e2 from v2 up to the anchor, against its listing
             colors[v], c = walks[(c * 6 + ca) << 3 | b0 << 2 | b1 << 1 | (not b2)]
             colors[v + 1] = c
-            v += 2
         for v, a, e in tail:
             colors[v] = lowest_out[colors[a]] if along[e] else lowest_in[colors[a]]
 

@@ -33,6 +33,7 @@ from .digraph import (
     MAX_VERTICES,
     OrientedGraph,
     Record,
+    _unchecked,
     parse_graph_file,
     random_orientation,
 )
@@ -49,10 +50,10 @@ FIXTURES = {
             "1d57d99f8f5e347e866795409efee246c7f916bd7dba6ccc73815e78333b566f", 126, 174),
 }
 
-#: a greedy step (v, anchor, e) or a pair step (v0, v1, v2, anchor, e0, e1, e2)
-_Step = tuple[int, ...]
-#: one row of HexGrid.sweep after the first: (head, run, last, tail)
-_SweepRow = tuple[_Step, tuple[int, ...], _Step, tuple[_Step, ...]]
+#: a greedy step (v, anchor, e)
+_Step = tuple[int, int, int]
+#: a row of HexGrid.sweep after the first: (head, targets, anchors, e0s, e1s, e2s, e2_last, tail)
+_SweepRow = tuple[_Step, range, slice, slice, slice, slice, int, tuple[_Step, ...]]
 
 
 class HexGrid(Record):
@@ -61,18 +62,20 @@ class HexGrid(Record):
 
     HexGrid(m, n) checks the bounds and builds graph, the grid's reference
     orientation, each edge directed from its smaller coordinate:
-    (i, j) -> (i, j+1) and (i, j) -> (i+1, j). orient, random_orientation
-    and enumerate_orientations direct grid edge i by one bit: 1 as
-    grid.graph directs it, 0 reversed.
+    (i, j) -> (i, j+1) and (i, j) -> (i+1, j). The arithmetic lists each
+    edge once, between two numbered vertices, so graph is made without
+    OrientedGraph's arc check. orient, random_orientation and
+    enumerate_orientations direct grid edge i by one bit: 1 as grid.graph
+    directs it, 0 reversed.
 
     Vertex and edge numbers come from the row spans alone. Rows are
     numbered in turn, so (i, j) is the number of row i's first vertex plus
     j - lo, where (lo, hi) = hex_row_span(m, n, i). Edges are listed in
     row-major vertex order, each vertex's horizontal edge (v, v+1), for
     j < hi, before its vertical edge to (i+1, j), for i <= m and i+j even.
-    The sweep is computed from the same layout. coords and index, which
-    only fixture placement and the CLI's text output read, are built on
-    first use.
+    The sweep is computed from the same layout, which no other module
+    reads. coords and index, which only fixture placement and the CLI's
+    text output read, are built on first use.
     """
 
     m: int
@@ -106,7 +109,7 @@ class HexGrid(Record):
                 slots[2 * skip + 1::4] = zip(row[skip::2], numbers[below + skip:below + len(row):2])
             edges.extend(filter(None, slots))
             start = end
-        self.__dict__.update(m=m, n=n, graph=OrientedGraph(count, tuple(edges)))
+        self.__dict__.update(m=m, n=n, graph=_unchecked(count, tuple(edges)))
 
     @cached_property
     def coords(self) -> tuple[tuple[int, int], ...]:
@@ -157,23 +160,23 @@ class HexGrid(Record):
 
         Vertex (1, 1) keeps its initial color and has no step. A greedy
         step (v, anchor, e) colors v against its colored neighbor anchor
-        across grid edge e, listed anchor -> v. A pair step
-        (v0, v1, v2, anchor, e0, e1, e2) colors v1, v2 by the walk
-        v0, v1, v2, anchor, whose anchor lies above v2; e0, e1, e2 are the
-        walk's edges in order, listed v0 -> v1, v1 -> v2 and anchor -> v2,
-        so the walk crosses e2 against its listing. In every pair step,
-        v1 = v0+1, v2 = v0+2 and e1 = e0+1.
+        across grid edge e, listed anchor -> v. A pair step colors v1 and
+        v2 = v1 + 1 by the walk v0 = v1 - 1, v1, v2, anchor, whose anchor
+        lies above v2; its edges e0, e1, e2 are listed v0 -> v1, v1 -> v2
+        and anchor -> v2, so the walk crosses e2 against its listing.
 
         first holds the greedy steps of row 1, left to right. rows holds
-        one record (head, run, last, tail) for each later row, in order:
+        one record (head, targets, anchors, e0s, e1s, e2s, e2_last, tail)
+        for each later row, in order:
           * head, the greedy step of the row's first vertex against the
             vertex above it;
-          * run = (v0, anchor, e0, e2, s0, s2, count), the count pair
-            steps whose v0, anchor, e0 and e2 start there and advance by
-            2, 2, s0 and s2;
-          * last, the row's last pair step, whose anchor ends the row
-            above, so that its e2 follows the run's by 2, not s2;
-          * tail, the greedy steps after it, each against its left neighbor.
+          * targets, the range of the row's pair steps' v1, in order;
+          * anchors, e0s and e1s, the slices of the vertex and edge
+            numbers that pick each pair's anchor, e0 and e1;
+          * e2s, the slice that picks each pair's e2 but the last's, and
+            e2_last, that last pair's e2: its anchor ends the row above,
+            so its e2 breaks the stride;
+          * tail, the greedy steps after them, each against its left neighbor.
         Each record is O(1) arithmetic on the row spans and on the edge
         layout that the constructor lists.
         """
@@ -192,13 +195,16 @@ class HexGrid(Record):
             off = lo - lo_a
             pairs = (min(hi, hi_a) - lo) // 2
             down, right = above.down, here.right
-            v_last, e_last = vs + 2 * pairs - 2, right(2 * pairs - 2)
+            a0, e0, e2 = va + off + 2, right(0), down(off + 2)
+            s0, s2 = right(2) - e0, down(off + 4) - e2
             rows.append((
                 (vs, va + off, down(off)),
-                (vs, va + off + 2, right(0), down(off + 2), right(2) - right(0),
-                 down(off + 4) - down(off + 2), pairs - 1),
-                (v_last, v_last + 1, v_last + 2, va + off + 2 * pairs, e_last, e_last + 1,
-                 down(off + 2 * pairs)),
+                range(vs + 1, vs + 2 * pairs, 2),
+                slice(a0, a0 + 2 * pairs, 2),
+                slice(e0, e0 + s0 * pairs, s0),
+                slice(e0 + 1, e0 + 1 + s0 * pairs, s0),
+                slice(e2, e2 + s2 * (pairs - 1), s2),
+                down(off + 2 * pairs),
                 tuple((vs + k, vs + k - 1, right(k - 1)) for k in range(2 * pairs + 1, here.width)),
             ))
             lo_a, hi_a, va, above = lo, hi, vs, here
@@ -386,4 +392,4 @@ def orientation_extending(
         raise ValueError(f"forced arcs not on grid edges: {unknown}")
     # each edge takes its forced arc, else the arc random_orientation drew
     drawn = random_orientation(grid.graph, seed).arcs
-    return OrientedGraph(grid.graph.n_vertices, tuple(map(forced.get, edges, drawn)))
+    return _unchecked(grid.graph.n_vertices, tuple(map(forced.get, edges, drawn)))

@@ -348,7 +348,8 @@ def test_isolated_vertices_have_no_neighbors():
     assert OrientedGraph(3, ()).neighbors == ((), (), ())
 
 
-CROSS_CHECK_SHAPES = [(k, k) for k in range(1, 7)] + [(3, 7), (50, 50)]
+CROSS_CHECK_SHAPES = [(k, k) for k in range(1, 7)] + [
+    (3, 7), (50, 50), (1, 300), (300, 1), (3, 100), (100, 3)]
 
 
 def assert_validated_copy_equal(g):
@@ -360,7 +361,9 @@ def assert_validated_copy_equal(g):
 
 @pytest.mark.parametrize("m,n", CROSS_CHECK_SHAPES)
 def test_unchecked_orientations_pass_the_arc_check(m, n):
+    """The grid's own graph and its re-orientations, all built unchecked."""
     g = build_hex_grid(m, n).graph
+    assert_validated_copy_equal(g)
     for seed in range(4):
         assert_validated_copy_equal(random_orientation(g, seed))
         rng = random.Random(seed)

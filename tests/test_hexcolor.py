@@ -198,18 +198,20 @@ def _reference_sweep(grid):
     return tuple(steps)
 
 
-def _expand(sweep):
-    """HexGrid.sweep as its steps, in sweep order: row 1's greedy steps,
-    then per later row its head, its run's pair steps, its last pair step
-    and its tail."""
-    first, rows = sweep
+def _expand(grid):
+    """grid.sweep as its steps, in sweep order: row 1's greedy steps, then
+    per later row its head, its pair steps and its tail. A row's slices
+    read the vertex and edge numbers, range(N)[s], as color_hex reads the
+    colors and the edge directions."""
+    first, rows = grid.sweep
+    vertices, edges = range(grid.graph.n_vertices), range(len(grid.graph.arcs))
     steps = list(first)
-    for head, (v0, anchor, e0, e2, s0, s2, count), last, tail in rows:
+    for head, targets, anchors, e0s, e1s, e2s, e2_last, tail in rows:
         steps.append(head)
-        for t in range(count):
-            v, e = v0 + 2 * t, e0 + s0 * t
-            steps.append((v, v + 1, v + 2, anchor + 2 * t, e, e + 1, e2 + s2 * t))
-        steps.append(last)
+        ups = [*edges[e2s], e2_last]
+        for v, a, e0, e1, e2 in zip(targets, vertices[anchors], edges[e0s], edges[e1s], ups,
+                                    strict=True):
+            steps.append((v - 1, v, v + 1, a, e0, e1, e2))
         steps += tail
     return tuple(steps)
 
@@ -218,7 +220,7 @@ def test_equal_endpoint_lookups_occur():
     """The row sweep really does hit equal anchor colors, so the table must
     cover u == v."""
     grid = build_hex_grid(5, 5)
-    pairs = [step for step in _expand(grid.sweep) if len(step) == 7]
+    pairs = [step for step in _expand(grid) if len(step) == 7]
     assert _names_its_edges(grid, [
         walk for (v0, v1, v2, anchor, e0, e1, e2) in pairs
         for walk in ((v0, v1, e0), (v1, v2, e1), (anchor, v2, e2))
@@ -231,23 +233,19 @@ def test_equal_endpoint_lookups_occur():
 
 
 def test_sweep_schedule_constrains_each_edge_once():
-    """For every shape up to 30 x 30, and H_{50,50} and H_{100,100}: the
-    sweep's rows expand to exactly the reference sweep's steps, and each
-    row's last pair continues its run in everything but e2, as color_hex
-    reads it. In the expansion, each step reads only colored vertices,
-    every vertex is colored once, every grid edge is constrained by exactly
-    one step, each step's edge indices name the edges it constrains as the
-    grid lists them, and each pair step's anchor is the vertex above v2,
-    joined to it by a vertical edge (even parity). Every step is a 3-tuple
-    or a 7-tuple."""
-    shapes = [(m, n) for m in range(1, 31) for n in range(1, 31)] + [(50, 50), (100, 100)]
+    """For every shape up to 30 x 30, H_{50,50}, H_{100,100} and the thin
+    shapes: the sweep's rows expand to exactly the reference sweep's steps.
+    In the expansion, each step reads only colored vertices, every vertex
+    is colored once, every grid edge is constrained by exactly one step,
+    each step's edge indices name the edges it constrains as the grid lists
+    them, and each pair step's anchor is the vertex above v2, joined to it
+    by a vertical edge (even parity). Every step is a 3-tuple or a 7-tuple."""
+    shapes = [(m, n) for m in range(1, 31) for n in range(1, 31)] + [
+        (50, 50), (100, 100), (1, 300), (300, 1), (3, 100), (100, 3)]
     for (m, n) in shapes:
         grid = build_hex_grid(m, n)
-        steps = _expand(grid.sweep)
+        steps = _expand(grid)
         assert steps == _reference_sweep(grid), (m, n)
-        for _, (v0, anchor, e0, _, s0, _, count), last, _ in grid.sweep[1]:
-            v, e = v0 + 2 * count, e0 + s0 * count
-            assert last[:6] == (v, v + 1, v + 2, anchor + 2 * count, e, e + 1), (m, n)
         coords = grid.coords
         colored = bytearray(grid.graph.n_vertices)
         colored[0] = 1
@@ -320,7 +318,7 @@ def _bad_entry_breaking_one_arc(grid):
     """An orientation of the grid, the index of the table entry its one pair
     step reads, a wrong entry for that index, and the one arc that entry
     breaks; the arc is not the orientation's last."""
-    steps = _expand(grid.sweep)
+    steps = _expand(grid)
     pair = steps[-1]
     assert len(pair) == 7 and all(len(step) == 3 for step in steps[:-1])
     v0, v1, v2, anchor = pair[:4]

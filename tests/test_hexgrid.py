@@ -76,7 +76,8 @@ def reference_hex_grid(m, n):
 
 
 def test_row_arithmetic_matches_coordinate_lookups():
-    shapes = [(m, n) for m in range(1, 31) for n in range(1, 31)] + [(50, 50), (100, 100)]
+    shapes = [(m, n) for m in range(1, 31) for n in range(1, 31)] + [
+        (50, 50), (100, 100), (1, 300), (300, 1), (3, 100), (100, 3)]
     for (m, n) in shapes:
         grid = build_hex_grid(m, n)
         coords, edges, index = reference_hex_grid(m, n)
@@ -280,6 +281,8 @@ def test_orientation_extending():
     forced = [(grid.graph.arcs[0][1], grid.graph.arcs[0][0])]
     oriented = orientation_extending(grid, forced, seed=3)
     assert forced[0] in oriented.arc_set
+    # built without the arc check, it passes it
+    assert OrientedGraph(oriented.n_vertices, oriented.arcs) == oriented
     assert oriented.arcs == orientation_extending(grid, forced, seed=3).arcs
     with pytest.raises(ValueError):
         orientation_extending(grid, [forced[0], (forced[0][1], forced[0][0])])
