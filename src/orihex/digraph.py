@@ -16,13 +16,17 @@ dict too, outside the fields, so equality, hashing and repr ignore them.
 An OrientedGraph also serves as the reference direction of its edges:
 a grid's graph lists each edge from its smaller coordinate, and orient,
 enumerate_orientations and random_orientation keep or reverse its arcs,
-one bit each. Arcs are checked where they enter the program, in the
-public OrientedGraph constructor and in the parser; a graph that orihex
-derives itself, from a checked graph or a grid's shape, is made with
-_unchecked. The parser's line walk goes through the constructor; its
-bulk read of canonical files builds only pairs of vertices below n, so
-it checks the rest itself (vertex -1, loops, repeats and 2-cycles) with
-the constructor's own test.
+one bit each. A re-orientation makes no arc of its own: each of its arcs
+is its base graph's own tuple or the reversed tuple that the base keeps,
+built once per base graph.
+
+Arcs are checked where they enter the program, in the public
+OrientedGraph constructor and in the parser; a graph that orihex derives
+itself, from a checked graph or a grid's shape, is made with _unchecked.
+The parser's line walk goes through the constructor; its bulk read of
+canonical files, with their blank and comment lines dropped, builds only
+pairs of vertices below n, so it checks the rest itself (vertex -1,
+loops, repeats and 2-cycles) with the constructor's own test.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import re
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import islice
-from operator import itemgetter
+from operator import getitem, itemgetter
 
 MAX_ENUMERATION_EDGES = 24
 
@@ -44,6 +48,10 @@ MAX_VERTICES = 10**6
 #: the canonical form serialize_digraph writes: an "N M" header and then
 #: "u v" arc lines, ASCII digits, one space, each line ending in "\n"
 _CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+
+#: a line the line walk skips, blank or with a first token that starts
+#: with '#', with the newline before it; re's \s is str.split's whitespace
+_SKIPPED_LINE = re.compile(r"\n\s*(?:#.*)?(?=\n)")
 
 
 class GraphFormatError(ValueError):
@@ -113,11 +121,11 @@ class OrientedGraph(Record):
     """Orientation of a simple graph: each edge carries exactly one direction,
     so the arc set is antisymmetric and loop-free.
 
-    The constructor checks the arcs once, in bulk: pairs only, endpoints in
-    0..n_vertices-1, no loop and no repeat in either direction, in one pass
-    of C-level work. Only a graph that fails is walked arc by arc, to raise
-    ArcError for its first bad arc. Graphs that orihex derives itself skip
-    the check (see _unchecked).
+    The constructor checks the arcs once, in bulk: pairs only, int
+    endpoints in 0..n_vertices-1, no loop and no repeat in either
+    direction, in one pass of C-level work. Only a graph that fails is
+    walked arc by arc, to raise ArcError for its first bad arc. Graphs
+    that orihex derives itself skip the check (see _unchecked).
     """
 
     n_vertices: int
@@ -129,7 +137,10 @@ class OrientedGraph(Record):
         if set(map(len, arcs)) == {2}:
             tails = tuple(map(itemgetter(0), arcs))
             heads = tuple(map(itemgetter(1), arcs))
-            if (min(min(tails), min(heads)) >= 0 and max(max(tails), max(heads)) < n_vertices
+            # a float or bool endpoint would pass the range and set tests
+            if (set(map(type, tails)) == {int} == set(map(type, heads))
+                    and min(min(tails), min(heads)) >= 0
+                    and max(max(tails), max(heads)) < n_vertices
                     and _loop_and_repeat_free(arcs, zip(heads, tails))):
                 return
         seen = set()
@@ -137,7 +148,9 @@ class OrientedGraph(Record):
             if len(arc) != 2:
                 raise ArcError(i, arc, "is not a pair")
             u, v = arc
-            if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+            if type(u) is not int or type(v) is not int:
+                problem = "has a non-integer endpoint"
+            elif not (0 <= u < n_vertices and 0 <= v < n_vertices):
                 problem = f"has an endpoint out of range ({n_vertices} vertices)"
             elif u == v:
                 problem = "is a self-loop"
@@ -153,6 +166,13 @@ class OrientedGraph(Record):
     @cached_property
     def arc_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(self.arcs)
+
+    @cached_property
+    def _reversed_arcs(self) -> tuple[tuple[int, int], ...]:
+        """Arc i reversed, for each i: the arcs that re-orientations of this
+        graph share, built once in C-level passes."""
+        arcs = self.arcs
+        return tuple(zip(map(itemgetter(1), arcs), map(itemgetter(0), arcs)))
 
     @cached_property
     def neighbors(self) -> tuple[tuple[tuple[int, bool], ...], ...]:
@@ -221,6 +241,35 @@ def _parse_int(tok: str, what: str, line: int) -> int:
     raise GraphFormatError(f"{what} is not an integer: {tok!r}", line)
 
 
+def _read_canonical(text: str) -> OrientedGraph | None:
+    """The graph of a text in canonical form, read in bulk, or None where
+    the line walk must read it or name its fault.
+
+    With commas for separators the text is one JSON array of numbers,
+    decoded by one json.loads, and the arcs are paired from that list.
+    Pairing makes only pairs, and a vertex past n fails its index, so the
+    rest (a 0 token, loops, repeats and 2-cycles) is checked here with
+    OrientedGraph's own test and the graph is built unchecked.
+    """
+    try:
+        tokens = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
+        n, m = tokens[0], tokens[1]
+        if n <= MAX_VERTICES and len(tokens) == 2 * m + 2:
+            # token u names vertex u - 1, so token 0 reads as -1 and a
+            # token past n raises IndexError; the arcs share one int per vertex
+            vertices = list(map(list(range(-1, n)).__getitem__, islice(tokens, 2, None)))
+            del tokens  # freed before the pairs and their set are built
+            pairs = tuple(zip(islice(vertices, 0, None, 2), islice(vertices, 1, None, 2)))
+            reversed_pairs = zip(islice(vertices, 1, None, 2), islice(vertices, 0, None, 2))
+            if -1 not in vertices and _loop_and_repeat_free(pairs, reversed_pairs):
+                return _unchecked(n, pairs)
+    except (ValueError, IndexError):
+        # JSON's refusal (leading zeros, a number too long for int), or a
+        # vertex past n: the walk reads the file or names the fault and its line
+        pass
+    return None
+
+
 def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int]]]:
     """Parse the graph file format, returning the graph and any coordinate
     bindings from optional ``coord u a b`` lines (keys 0-based).
@@ -231,42 +280,29 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     ignored. N may be at most MAX_VERTICES. A bad arc is reported with its
     line.
 
-    A file in the canonical form serialize_digraph writes is read in bulk:
-    with commas for separators it is one JSON array of numbers, decoded by
-    one json.loads, and the arcs are paired from that list. Pairing makes
-    only pairs, and a vertex past n fails its index, so the bulk read
-    checks the rest itself (a 0 token, loops, repeats and 2-cycles) with
-    OrientedGraph's own test, then builds the graph unchecked. Any other
-    file, and any canonical one that JSON refuses (leading zeros, a number
-    too long for int) or the bulk read fails on, is walked line by line
-    through the OrientedGraph constructor, which names the fault and its
-    line. So the graph, or the error and its line, is the same either way.
+    A file in the canonical form serialize_digraph writes is read in bulk
+    (see _read_canonical), also once its line ends are LF and its blank and
+    comment lines are dropped. Any other file, and any whose bulk read
+    fails, is walked line by line, as it was given, through the
+    OrientedGraph constructor, which names the fault and its line. So the
+    graph, or the error and its line, is the same either way.
     """
+    # lines end at "\n", "\r\n" or "\r" only: splitlines would also end one
+    # at "\f", "\v", "\x85" or U+2028, and read an arc out of a comment
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
     if _CANONICAL.fullmatch(text):
-        try:
-            tokens = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
-            n, m = tokens[0], tokens[1]
-            if n <= MAX_VERTICES and len(tokens) == 2 * m + 2:
-                # token u names vertex u - 1, so token 0 reads as -1 and a
-                # token past n raises IndexError; the arcs share one int per vertex
-                vertices = list(map(list(range(-1, n)).__getitem__, islice(tokens, 2, None)))
-                del tokens  # freed before the pairs and their set are built
-                pairs = tuple(zip(islice(vertices, 0, None, 2), islice(vertices, 1, None, 2)))
-                reversed_pairs = zip(islice(vertices, 1, None, 2), islice(vertices, 0, None, 2))
-                if -1 not in vertices and _loop_and_repeat_free(pairs, reversed_pairs):
-                    return _unchecked(n, pairs), {}
-        except (ValueError, IndexError):
-            # JSON's refusal, or a vertex past n: the walk below reads the
-            # file or names the fault and its line
-            pass
+        graph = _read_canonical(text)
+    else:
+        # the "\n" put in front lets a skipped first line match
+        kept = _SKIPPED_LINE.sub("", "\n" + text)[1:]
+        graph = _read_canonical(kept) if _CANONICAL.fullmatch(kept) else None
+    if graph is not None:
+        return graph, {}
     header: tuple[int, int] | None = None
     arcs: list[tuple[int, int]] = []
     arc_lines: list[int] = []
     coords: dict[int, tuple[int, int]] = {}
-    # lines end at "\n", "\r\n" or "\r" only: splitlines would also end one
-    # at "\f", "\v", "\x85" or U+2028, and read an arc out of a comment
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         toks = raw.split()
         if not toks or toks[0].startswith("#"):
             continue
@@ -338,10 +374,11 @@ def _directed(g: OrientedGraph, bits: Iterable[int]) -> OrientedGraph:
     """Keep arc i of g where bits[i] is 1 and reverse it where it is 0, one
     bit per arc, without OrientedGraph's arc check: g's own check already
     rules out every fault an arc could have here.
+
+    Arc i of the result is the very tuple g.arcs[i] or g._reversed_arcs[i],
+    so a re-orientation allocates only its outer tuple.
     """
-    # a kept arc is g's own tuple, so only reversed arcs are new objects
-    arcs = tuple([a if b else (a[1], a[0]) for (a, b) in zip(g.arcs, bits)])
-    return _unchecked(g.n_vertices, arcs)
+    return _unchecked(g.n_vertices, tuple(map(getitem, zip(g._reversed_arcs, g.arcs), bits)))
 
 
 def orient(g: OrientedGraph, code: Iterable[int] | str) -> OrientedGraph:

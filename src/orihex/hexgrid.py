@@ -124,10 +124,6 @@ class HexGrid(Record):
         """The vertex number of each (i, j)."""
         return {c: v for v, c in enumerate(self.coords)}
 
-    @cached_property
-    def _reversed_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((v, u) for (u, v) in self.graph.arcs)
-
     def directions(self, orientation: OrientedGraph) -> list[bool]:
         """Per grid edge i, True when the orientation directs it as
         grid.graph directs it, graph.arcs[i]; ValueError unless the
@@ -136,12 +132,13 @@ class HexGrid(Record):
         Orientations built from the grid's graph (orient,
         random_orientation, enumerate_orientations, and files that
         serialize_digraph wrote from them) list arc i on edge i, which two
-        elementwise passes confirm; arcs listed in any other order are
-        looked up in the arc set.
+        elementwise passes confirm, against graph.arcs and against
+        graph._reversed_arcs, the reversed tuples those orientations share;
+        arcs listed in any other order are looked up in the arc set.
         """
         if orientation.n_vertices != self.graph.n_vertices:
             raise ValueError("orientation and grid disagree on vertex count")
-        arcs, edges, reverse = orientation.arcs, self.graph.arcs, self._reversed_edges
+        arcs, edges, reverse = orientation.arcs, self.graph.arcs, self.graph._reversed_arcs
         # arcs hold no duplicate or opposite pair, so covering every edge with
         # as many arcs as edges directs exactly the grid's edges
         if len(arcs) != len(edges):

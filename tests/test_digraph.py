@@ -18,7 +18,7 @@ from orihex.digraph import (
     random_orientation,
     serialize_digraph,
 )
-from orihex.hexgrid import build_hex_grid, fixture_file_bytes
+from orihex.hexgrid import build_hex_grid, fixture_file_bytes, fixture_h4, orientation_extending
 
 
 def path(n):
@@ -111,6 +111,14 @@ def _outcome(text):
         return re.sub(r"^line \d+: ", "", str(exc)), exc.line
 
 
+def _walked_outcome(text, monkeypatch):
+    """_outcome(text) with the bulk read shut off: no text is canonical, so
+    every file goes to the line walk."""
+    with monkeypatch.context() as patch:
+        patch.setattr(digraph, "_CANONICAL", re.compile(r"(?!)"))
+        return _outcome(text)
+
+
 def _mutated(text, rng):
     """One random fault, or none, in a canonical graph file."""
     lines = [line.split(" ") for line in text.splitlines()]
@@ -142,11 +150,11 @@ def _mutated(text, rng):
     return "".join(" ".join(line) + "\n" for line in lines)
 
 
-def test_bulk_read_agrees_with_the_line_walk():
-    """Canonical files and their mutants read as they do behind a comment
-    line, which forces the line walk: the same graph and coords, or the
-    same error one line lower. Canonical texts with a leading zero, which
-    JSON refuses, must reach the walk and read as it reads them."""
+def test_bulk_read_agrees_with_the_line_walk(monkeypatch):
+    """Canonical files and their mutants read as the line walk reads them
+    behind a comment line: the same graph and coords, or the same error
+    one line lower. Canonical texts with a leading zero, which JSON
+    refuses, must reach the walk and read as it reads them."""
     rng = random.Random(11)
     grid = build_hex_grid(3, 3)
     sources = [serialize_digraph(random_orientation(grid.graph, seed)) for seed in range(3)]
@@ -162,7 +170,8 @@ def test_bulk_read_agrees_with_the_line_walk():
     bulk_read, bulk_refused, zero_led = 0, 0, 0
     for _ in range(600):
         text = _mutated(rng.choice(sources), rng)
-        got, walked = _outcome(text), _outcome("# x\n" + text)
+        got, walked = _outcome(text), _walked_outcome("# x\n" + text, monkeypatch)
+        assert _outcome("# x\n" + text) == walked
         if isinstance(walked[0], OrientedGraph):
             assert got == walked
         else:
@@ -175,6 +184,48 @@ def test_bulk_read_agrees_with_the_line_walk():
             else:
                 bulk_refused += 1
     assert bulk_read > 50 and bulk_refused > 50 and zero_led > 10
+
+
+SKIPPED_LINES = ["", "# c", "  # c 1 2", "#", " \t", "\f", "# see\f2 3", "#1 2", "\u2028"]
+
+
+def _with_skipped_lines(text, rng):
+    """text with blank and comment lines put in, some at its start and end,
+    and each line ended by LF, CR LF or CR."""
+    lines = text.split("\n")[:-1]
+    places = [0, 1, len(lines) // 2, len(lines)] + [rng.randrange(len(lines) + 1) for _ in range(3)]
+    for at in places:
+        lines.insert(at, rng.choice(SKIPPED_LINES))
+    return "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in lines)
+
+
+def test_skipped_lines_keep_the_bulk_read(monkeypatch):
+    """Blank lines, comment lines and CR LF or CR line ends in several
+    places leave a canonical file to the bulk read, which gives the graph
+    the line walk gives."""
+    rng = random.Random(5)
+    grid = build_hex_grid(3, 3)
+    sources = [serialize_digraph(random_orientation(grid.graph, seed)) for seed in range(3)]
+    sources += ["1 0\n", "3 2\n1 2\n3 2\n"]
+    bulk_reads = []
+    read_canonical = digraph._read_canonical
+    monkeypatch.setattr(digraph, "_read_canonical",
+                        lambda text: bulk_reads.append(read_canonical(text)) or bulk_reads[-1])
+    for _ in range(40):
+        source = rng.choice(sources)
+        text = _with_skipped_lines(source, rng)
+        expected = parse_graph_file(source)
+        bulk_reads.clear()
+        assert parse_graph_file(text) == expected, repr(text)
+        assert len(bulk_reads) == 1 and bulk_reads[0] == expected[0]
+        assert _walked_outcome(text, monkeypatch) == expected
+
+
+def test_comment_with_a_form_feed_holds_no_arc():
+    """The bulk read drops a comment line whole, so the arc after its form
+    feed stays out, as in the walk: the file lists one arc, not two."""
+    with pytest.raises(GraphFormatError, match=r"^header declares 2 arcs but file lists 1$"):
+        parse_digraph("3 2\n1 2\n# see\f2 3\n")
 
 
 @pytest.mark.parametrize("prefix,line", [("", 1), ("# c\n", 2)])
@@ -373,6 +424,82 @@ def test_unchecked_orientations_pass_the_arc_check(m, n):
         assert len(orientations) == 64
         for o in orientations:
             assert_validated_copy_equal(o)
+
+
+def shared_arc_kinds(oriented, g, free=None):
+    """Asserts that each arc of oriented (of those free, if given) is g's
+    own tuple or the reversed one g keeps; returns which kinds occur, True
+    for g's own."""
+    assert len(oriented.arcs) == len(g.arcs)
+    kinds = set()
+    for i, (arc, kept, reversed_arc) in enumerate(zip(oriented.arcs, g.arcs, g._reversed_arcs)):
+        if free is None or i in free:
+            assert arc is kept or arc is reversed_arc, (i, arc)
+            kinds.add(arc is kept)
+    return kinds
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 5), "H4"])
+def test_orientations_share_the_base_graph_arcs(shape):
+    """orient, random_orientation, enumerate_orientations and, on its
+    unforced edges, orientation_extending make no arc of their own."""
+    g = fixture_h4().graph if shape == "H4" else build_hex_grid(*shape).graph
+    kinds = set()
+    for seed in range(3):
+        kinds |= shared_arc_kinds(random_orientation(g, seed), g)
+        rng = random.Random(seed)
+        kinds |= shared_arc_kinds(orient(g, [rng.getrandbits(1) for _ in g.arcs]), g)
+    if len(g.arcs) <= 24:
+        for oriented in itertools.islice(enumerate_orientations(g), 64):
+            kinds |= shared_arc_kinds(oriented, g)
+    if shape != "H4":
+        grid = build_hex_grid(*shape)
+        forced = [grid.graph.arcs[0][::-1], grid.graph.arcs[-1]]
+        for seed in range(3):
+            oriented = orientation_extending(grid, forced, seed)
+            kinds |= shared_arc_kinds(oriented, grid.graph, free=range(1, len(g.arcs) - 1))
+    assert kinds == {False, True}
+
+
+def test_reversed_arcs_are_cached_outside_the_fields():
+    g = build_hex_grid(2, 3).graph
+    checked = OrientedGraph(g.n_vertices, g.arcs)
+    before = repr(g), hash(g)
+    reversed_arcs = g._reversed_arcs
+    assert reversed_arcs is g._reversed_arcs
+    assert reversed_arcs == tuple((v, u) for (u, v) in g.arcs)
+    assert "_reversed_arcs" in vars(g) and "_reversed_arcs" not in vars(checked)
+    assert (repr(g), hash(g)) == before and "_reversed" not in repr(g)
+    assert g == checked and hash(g) == hash(checked)
+    assert OrientedGraph(3, ())._reversed_arcs == ()
+
+
+NON_INTEGERS = {"float": 1.0, "str": "1", "None": None, "bool": True}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_INTEGERS))
+@pytest.mark.parametrize("at", [0, 1])
+def test_constructor_rejects_non_integer_endpoints(kind, at):
+    """Even where it would pass the range and set tests, as 1.0 and True
+    do, a non-int endpoint is named at the constructor."""
+    arcs = [list(arc) for arc in random_orientation(build_hex_grid(1, 1).graph, 0).arcs]
+    arcs[4][at] = NON_INTEGERS[kind]
+    arcs = tuple(map(tuple, arcs))
+    with pytest.raises(ArcError) as exc:
+        OrientedGraph(6, arcs)
+    assert (exc.value.index, exc.value.problem) == (4, "has a non-integer endpoint")
+    assert str(exc.value) == f"arc {arcs[4]} has a non-integer endpoint"
+
+
+def test_non_integer_endpoint_named_before_the_range():
+    floats = tuple((float(u), float(v)) for (u, v) in build_hex_grid(1, 1).graph.arcs)
+    with pytest.raises(ArcError, match=r"^arc \(0\.0, 1\.0\) has a non-integer endpoint$"):
+        OrientedGraph(6, floats)
+    with pytest.raises(ArcError) as exc:
+        OrientedGraph(2, ((0, 1), (-1.5, 9)))
+    assert (exc.value.index, exc.value.problem) == (1, "has a non-integer endpoint")
+    with pytest.raises(ArcError, match="non-integer"):
+        OrientedGraph(2, ((False, True),))
 
 
 H50 = build_hex_grid(50, 50).graph

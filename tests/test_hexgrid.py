@@ -1,12 +1,14 @@
 import hashlib
 import random
 from collections import deque
+from operator import eq
 
 import pytest
 
 from orihex.digraph import MAX_VERTICES, OrientedGraph, random_orientation
 from orihex.hexgrid import (
     AxialFixture,
+    HexGrid,
     build_hex_grid,
     fixture_file_bytes,
     fixture_h4,
@@ -313,6 +315,17 @@ def test_directions_same_in_any_arc_order():
         rng.shuffle(shuffled)
         for arcs in (oriented.arcs, tuple(shuffled)):
             assert grid.directions(OrientedGraph(grid.graph.n_vertices, arcs)) == expected
+
+
+def test_directions_reads_the_graph_reversed_arcs():
+    """The grid keeps no reversed edges of its own: directions reads the
+    ones its graph keeps, which its orientations share."""
+    grid = build_hex_grid(2, 3)
+    oriented = random_orientation(build_hex_grid(2, 3).graph, 2)
+    assert "_reversed_arcs" not in vars(grid.graph)
+    assert grid.directions(oriented) == list(map(eq, oriented.arcs, grid.graph.arcs))
+    assert "_reversed_arcs" in vars(grid.graph)
+    assert not hasattr(grid, "_reversed_edges") and "_reversed_edges" not in vars(HexGrid)
 
 
 def test_directions_rejects_a_non_edge_in_any_arc_order():
