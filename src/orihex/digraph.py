@@ -23,10 +23,11 @@ built once per base graph.
 Arcs are checked where they enter the program, in the public
 OrientedGraph constructor and in the parser; a graph that orihex derives
 itself, from a checked graph or a grid's shape, is made with _unchecked.
+The constructor walks the arcs one by one and names the first bad one.
 The parser's line walk goes through the constructor; its bulk read of
 canonical files, with their blank and comment lines dropped, builds only
 pairs of vertices below n, so it checks the rest itself (vertex -1,
-loops, repeats and 2-cycles) with the constructor's own test.
+loops, repeats and 2-cycles) with one set test of its own.
 """
 
 from __future__ import annotations
@@ -67,21 +68,9 @@ class GraphFormatError(ValueError):
 class ArcError(ValueError):
     """Raised for an arc no orientation may hold: arcs[index], and what is wrong."""
 
-    def __init__(self, index: int, arc: tuple[int, ...], problem: str):
+    def __init__(self, index: int, arc: object, problem: str):
         super().__init__(f"arc {arc} {problem}")
         self.index, self.problem = index, problem
-
-
-def _loop_and_repeat_free(pairs: tuple[tuple[int, int], ...], reversed_pairs: Iterable) -> bool:
-    """True when no pair is a self-loop or repeats another pair in either
-    direction; reversed_pairs yields each pair reversed.
-
-    C-level set work only: a self-loop (u, u) is its own reverse, so the
-    reversed pairs meet the set exactly at self-loops, 2-cycles and
-    reversed duplicates.
-    """
-    pair_set = set(pairs)
-    return len(pair_set) == len(pairs) and pair_set.isdisjoint(reversed_pairs)
 
 
 class Record:
@@ -121,10 +110,9 @@ class OrientedGraph(Record):
     """Orientation of a simple graph: each edge carries exactly one direction,
     so the arc set is antisymmetric and loop-free.
 
-    The constructor checks the arcs once, in bulk: pairs only, int
-    endpoints in 0..n_vertices-1, no loop and no repeat in either
-    direction, in one pass of C-level work. Only a graph that fails is
-    walked arc by arc, to raise ArcError for its first bad arc. Graphs
+    The constructor walks the arcs in order and raises ArcError for the
+    first bad one: each arc a tuple pair of int endpoints in
+    0..n_vertices-1, no loop and no repeat in either direction. Graphs
     that orihex derives itself skip the check (see _unchecked).
     """
 
@@ -133,19 +121,9 @@ class OrientedGraph(Record):
 
     def __init__(self, n_vertices: int, arcs: tuple[tuple[int, int], ...]):
         self.__dict__.update(n_vertices=n_vertices, arcs=arcs)
-        # no arcs skip the bulk test, and the walk finds no fault in them
-        if set(map(len, arcs)) == {2}:
-            tails = tuple(map(itemgetter(0), arcs))
-            heads = tuple(map(itemgetter(1), arcs))
-            # a float or bool endpoint would pass the range and set tests
-            if (set(map(type, tails)) == {int} == set(map(type, heads))
-                    and min(min(tails), min(heads)) >= 0
-                    and max(max(tails), max(heads)) < n_vertices
-                    and _loop_and_repeat_free(arcs, zip(heads, tails))):
-                return
         seen = set()
         for i, arc in enumerate(arcs):
-            if len(arc) != 2:
+            if not isinstance(arc, tuple) or len(arc) != 2:
                 raise ArcError(i, arc, "is not a pair")
             u, v = arc
             if type(u) is not int or type(v) is not int:
@@ -154,12 +132,12 @@ class OrientedGraph(Record):
                 problem = f"has an endpoint out of range ({n_vertices} vertices)"
             elif u == v:
                 problem = "is a self-loop"
-            elif (u, v) in seen:
+            elif arc in seen:
                 problem = "is a duplicate arc"
             elif (v, u) in seen:
                 problem = "closes a 2-cycle"
             else:
-                seen.add((u, v))
+                seen.add(arc)
                 continue
             raise ArcError(i, (u, v), problem)
 
@@ -248,8 +226,8 @@ def _read_canonical(text: str) -> OrientedGraph | None:
     With commas for separators the text is one JSON array of numbers,
     decoded by one json.loads, and the arcs are paired from that list.
     Pairing makes only pairs, and a vertex past n fails its index, so the
-    rest (a 0 token, loops, repeats and 2-cycles) is checked here with
-    OrientedGraph's own test and the graph is built unchecked.
+    rest (a 0 token, loops, repeats and 2-cycles) is checked here in
+    C-level set work and the graph is built unchecked.
     """
     try:
         tokens = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
@@ -261,8 +239,12 @@ def _read_canonical(text: str) -> OrientedGraph | None:
             del tokens  # freed before the pairs and their set are built
             pairs = tuple(zip(islice(vertices, 0, None, 2), islice(vertices, 1, None, 2)))
             reversed_pairs = zip(islice(vertices, 1, None, 2), islice(vertices, 0, None, 2))
-            if -1 not in vertices and _loop_and_repeat_free(pairs, reversed_pairs):
-                return _unchecked(n, pairs)
+            if -1 not in vertices:
+                # a loop (u, u) is its own reverse, so the reversed pairs meet
+                # the set exactly at loops, 2-cycles and reversed repeats
+                pair_set = set(pairs)
+                if len(pair_set) == len(pairs) and pair_set.isdisjoint(reversed_pairs):
+                    return _unchecked(n, pairs)
     except (ValueError, IndexError):
         # JSON's refusal (leading zeros, a number too long for int), or a
         # vertex past n: the walk reads the file or names the fault and its line
@@ -293,8 +275,9 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     if _CANONICAL.fullmatch(text):
         graph = _read_canonical(text)
     else:
-        # the "\n" put in front lets a skipped first line match
-        kept = _SKIPPED_LINE.sub("", "\n" + text)[1:]
+        # the "\n" put in front lets a skipped first line match, and the
+        # one put at the end ends the last line, if it has no "\n" of its own
+        kept = _SKIPPED_LINE.sub("", f"\n{text}\n")[1:]
         graph = _read_canonical(kept) if _CANONICAL.fullmatch(kept) else None
     if graph is not None:
         return graph, {}

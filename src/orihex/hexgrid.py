@@ -243,10 +243,8 @@ def hex_vertex_count(m: int, n: int) -> int:
     return 2 * (m + 1) * (n + 1) - 2
 
 
-def build_hex_grid(m: int, n: int) -> HexGrid:
-    """Construct the hexagonal grid with m rows of n hexagons; at most
-    MAX_VERTICES vertices. The same as HexGrid(m, n)."""
-    return HexGrid(m, n)
+#: the hexagonal grid with m rows of n hexagons, at most MAX_VERTICES vertices
+build_hex_grid = HexGrid
 
 
 class AxialFixture(Record):

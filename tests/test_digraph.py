@@ -221,6 +221,22 @@ def test_skipped_lines_keep_the_bulk_read(monkeypatch):
         assert _walked_outcome(text, monkeypatch) == expected
 
 
+@pytest.mark.parametrize("last", ["", "# end", "  ", "#"], ids=["none", "comment", "blank", "hash"])
+def test_text_without_a_final_newline_keeps_the_bulk_read(last, monkeypatch):
+    """A canonical file without its final newline, or whose last line is a
+    blank or comment line without one, is read in bulk, and the bulk read
+    gives the graph the line walk gives."""
+    text = serialize_digraph(random_orientation(build_hex_grid(3, 3).graph, 1))
+    text = text[:-1] if not last else text + last
+    expected = _walked_outcome(text, monkeypatch)
+    bulk_reads = []
+    read_canonical = digraph._read_canonical
+    monkeypatch.setattr(digraph, "_read_canonical",
+                        lambda text: bulk_reads.append(read_canonical(text)) or bulk_reads[-1])
+    assert parse_graph_file(text) == expected
+    assert len(bulk_reads) == 1 and bulk_reads[0] == expected[0]
+
+
 def test_comment_with_a_form_feed_holds_no_arc():
     """The bulk read drops a comment line whole, so the arc after its form
     feed stays out, as in the walk: the file lists one arc, not two."""
@@ -526,7 +542,7 @@ ARC_FAULTS = {
 
 @pytest.mark.parametrize("fault", sorted(ARC_FAULTS))
 def test_bulk_check_names_the_first_bad_arc(fault):
-    """A large input that fails the bulk check gets the per-arc diagnosis:
+    """A large input that fails the arc check gets the per-arc diagnosis:
     the bad arc's index and problem, and through the parser its line."""
     bad, problem = ARC_FAULTS[fault]
     arcs = h50_arcs_with(bad)
@@ -546,8 +562,21 @@ def test_bulk_check_names_the_first_bad_arc(fault):
 
 
 def test_bulk_check_names_the_earliest_of_several_faults():
+    """The arc check names the first of several bad arcs."""
     arcs = list(h50_arcs_with(ARC_FAULTS["2-cycle"][0]))
     arcs[LATE + 2] = (3, 3)
     with pytest.raises(ArcError) as exc:
         OrientedGraph(H50.n_vertices, tuple(arcs))
     assert (exc.value.index, exc.value.problem) == (LATE, "closes a 2-cycle")
+
+
+@pytest.mark.parametrize("at", [0, LATE])
+def test_list_arc_is_not_a_pair(at):
+    """An arc must be a tuple: a list, even of two good endpoints, is named
+    at the constructor with its index."""
+    arcs = list(random_orientation(H50, 4).arcs)
+    arcs[at] = list(arcs[at])
+    with pytest.raises(ArcError) as exc:
+        OrientedGraph(H50.n_vertices, tuple(arcs))
+    assert (exc.value.index, exc.value.problem) == (at, "is not a pair")
+    assert str(exc.value) == f"arc {arcs[at]} is not a pair"
