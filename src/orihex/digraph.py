@@ -4,14 +4,17 @@ text file format.
 Vertices are 0-based everywhere in memory; the text format is 1-based.
 
 Record is the base of orihex's value records, here and in the other
-modules. A record's fields are its class's own annotated names. Each class
-has an explicit __init__ that writes the fields into the instance dict and
-then runs the record's check, if it has one. Records compare and hash by
-their fields, only against records of the same class, and repr as
-Name(field=value, ...). They are frozen: assigning or deleting an
-attribute raises AttributeError, so they are immutable after construction
-and safe to share across threads. Cached properties sit in the instance
-dict too, outside the fields, so equality, hashing and repr ignore them.
+modules. A record's fields are its class's own annotated names. Record's
+__init__ binds them, by position or by name, and is the one place that
+writes them into the instance dict; a record with a check or a default
+has an __init__ of its own for just that, which hands the fields on to
+Record's. HexGrid, whose graph is not a field, writes its own. Records
+compare and hash by their fields, only against records of the same
+class, and repr as Name(field=value, ...). They are frozen: assigning or
+deleting an attribute raises AttributeError, so they are immutable after
+construction and safe to share across threads. Cached properties sit in
+the instance dict too, outside the fields, so equality, hashing and repr
+ignore them.
 
 An OrientedGraph also serves as the reference direction of its edges:
 a grid's graph lists each edge from its smaller coordinate, and orient,
@@ -76,13 +79,33 @@ class ArcError(ValueError):
 class Record:
     """Frozen value record: equality, hashing and repr over the fields, the
     class's own annotated names. A record with a list or dict field does
-    not hash."""
+    not hash.
+
+    Record(*values, **named) binds the fields in order, by position or by
+    name, and raises TypeError, naming the fields, for a missing, extra,
+    unknown or repeated one. A subclass defines __init__ only to add a
+    check or a default, and hands the fields on to this one.
+    """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if named or len(values) != len(fields):
+            # the names must be exactly the fields after the positional ones
+            rest = fields[len(values):]
+            if len(values) > len(fields) or named.keys() != set(rest):
+                raise TypeError(
+                    f"{self.__class__.__qualname__} takes the fields {', '.join(fields)};"
+                    f" got {len(values)} by position and {', '.join(named) or 'none'} by name"
+                )
+            values += tuple(map(named.__getitem__, rest))
+        # the one place a record's fields are written
+        self.__dict__.update(zip(fields, values))
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self._fields))
@@ -110,19 +133,20 @@ class OrientedGraph(Record):
     """Orientation of a simple graph: each edge carries exactly one direction,
     so the arc set is antisymmetric and loop-free.
 
-    The constructor walks the arcs in order and raises ArcError for the
-    first bad one: each arc a tuple pair of int endpoints in
-    0..n_vertices-1, no loop and no repeat in either direction. Graphs
-    that orihex derives itself skip the check (see _unchecked).
+    The constructor stores the arcs as a tuple, walks them in order and
+    raises ArcError for the first bad one: each arc a tuple pair of int
+    endpoints in 0..n_vertices-1, no loop and no repeat in either
+    direction. Graphs that orihex derives itself skip the check (see
+    _unchecked).
     """
 
     n_vertices: int
     arcs: tuple[tuple[int, int], ...]
 
-    def __init__(self, n_vertices: int, arcs: tuple[tuple[int, int], ...]):
-        self.__dict__.update(n_vertices=n_vertices, arcs=arcs)
+    def __init__(self, n_vertices: int, arcs: Iterable[tuple[int, int]]):
+        super().__init__(n_vertices, tuple(arcs))
         seen = set()
-        for i, arc in enumerate(arcs):
+        for i, arc in enumerate(self.arcs):
             if not isinstance(arc, tuple) or len(arc) != 2:
                 raise ArcError(i, arc, "is not a pair")
             u, v = arc
@@ -200,11 +224,11 @@ class OrientedGraph(Record):
 def _unchecked(n_vertices: int, arcs: tuple[tuple[int, int], ...]) -> OrientedGraph:
     """An OrientedGraph made without its arc check, as is every graph that
     orihex derives from a checked graph or a grid's shape, whose source
-    rules out every fault: fields set on a bare instance with no __init__
-    run. Arcs from outside go through the constructor or the parser."""
+    rules out every fault: Record's __init__ run on a bare instance, so
+    the arcs are stored as given. Arcs from outside go through the
+    constructor or the parser."""
     graph = object.__new__(OrientedGraph)
-    object.__setattr__(graph, "n_vertices", n_vertices)
-    object.__setattr__(graph, "arcs", arcs)
+    Record.__init__(graph, n_vertices, arcs)
     return graph
 
 
@@ -323,7 +347,7 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
         raise GraphFormatError("empty file: missing 'N M' header", 1)
     n, m = header
     try:
-        graph = OrientedGraph(n, tuple(arcs))
+        graph = OrientedGraph(n, arcs)
     except ArcError as exc:
         u, v = arcs[exc.index]
         message = f"arc {u + 1} -> {v + 1} {exc.problem}"

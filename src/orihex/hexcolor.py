@@ -49,14 +49,6 @@ class Prop1Check(Record):
     table: dict[int, tuple[int, int]]
     missing: tuple[tuple[int, int, OrientationPattern], ...]
 
-    def __init__(
-        self,
-        holds: bool,
-        table: dict[int, tuple[int, int]],
-        missing: tuple[tuple[int, int, OrientationPattern], ...],
-    ):
-        self.__dict__.update(holds=holds, table=table, missing=missing)
-
 
 def check_property1(t: Tournament, include_equal_endpoints: bool = True) -> Prop1Check:
     """Search, for every ordered endpoint pair and every 3-bit direction

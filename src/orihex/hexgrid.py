@@ -254,7 +254,7 @@ class AxialFixture(Record):
     coords: tuple[tuple[int, int], ...]
 
     def __init__(self, graph: OrientedGraph, coords: tuple[tuple[int, int], ...]):
-        self.__dict__.update(graph=graph, coords=coords)
+        super().__init__(graph, coords)
         if len(coords) != graph.n_vertices:
             raise ValueError("one coordinate pair per vertex required")
 
@@ -264,9 +264,6 @@ class LatticeCheck(Record):
 
     ok: bool
     violations: tuple[str, ...]
-
-    def __init__(self, ok: bool, violations: tuple[str, ...]):
-        self.__dict__.update(ok=ok, violations=violations)
 
 
 def _lattice_class(a: int, b: int) -> int:

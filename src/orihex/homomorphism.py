@@ -33,16 +33,6 @@ class HomResult(Record):
     nodes_expanded: int
     max_depth: int
 
-    def __init__(
-        self, found: bool, witness: Homomorphism | None, nodes_expanded: int, max_depth: int
-    ):
-        self.__dict__.update(
-            found=found,
-            witness=witness,
-            nodes_expanded=nodes_expanded,
-            max_depth=max_depth,
-        )
-
 
 def validate_homomorphism(g: OrientedGraph, t: Tournament, phi: Sequence[int]) -> bool:
     """True iff phi maps every arc of g onto an arc of t.

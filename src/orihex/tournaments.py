@@ -53,7 +53,7 @@ class Tournament(Record):
     out_masks: tuple[int, ...]
 
     def __init__(self, order: int, out_masks: tuple[int, ...]):
-        self.__dict__.update(order=order, out_masks=out_masks)
+        super().__init__(order, out_masks)
         k = self.order
         if len(self.out_masks) != k:
             raise ValueError("out_masks length must equal order")

@@ -75,24 +75,6 @@ class CheckRecord(Record):
     details: dict
     elapsed_s: float
 
-    def __init__(
-        self,
-        name: str,
-        mandatory: bool,
-        verdict: str,
-        inputs: dict,
-        details: dict,
-        elapsed_s: float,
-    ):
-        self.__dict__.update(
-            name=name,
-            mandatory=mandatory,
-            verdict=verdict,
-            inputs=inputs,
-            details=details,
-            elapsed_s=elapsed_s,
-        )
-
     def to_dict(self) -> dict:
         # a shallow copy: json.dumps walks the nested details itself
         return {**vars(self), "elapsed_s": round(self.elapsed_s, 4)}
@@ -104,7 +86,7 @@ class VerificationReport(Record):
     checks: list[CheckRecord]
 
     def __init__(self, seed: int, scale: str, checks: list[CheckRecord] | None = None):
-        self.__dict__.update(seed=seed, scale=scale, checks=[] if checks is None else checks)
+        super().__init__(seed, scale, [] if checks is None else checks)
 
     @property
     def overall(self) -> str:

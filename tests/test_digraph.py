@@ -265,6 +265,17 @@ def test_constructor_rejects_two_cycles_and_loops():
         OrientedGraph(2, ((0, 1), (1, 2)))
 
 
+def test_constructor_stores_the_arcs_as_a_tuple():
+    """A list of arcs is kept as a tuple, so the graph equals and hashes
+    like one built from the tuple; a tuple is kept as the same object."""
+    arcs = ((0, 1), (2, 1))
+    g = OrientedGraph(3, list(arcs))
+    assert g.arcs == arcs and type(g.arcs) is tuple
+    assert g == OrientedGraph(3, arcs) and hash(g) == hash(OrientedGraph(3, arcs))
+    assert OrientedGraph(3, arcs).arcs is arcs
+    assert OrientedGraph(3, iter(arcs)) == g
+
+
 def test_roundtrip_canonical():
     text = "# c\n3 2\n\n1 2\n3 2\n"
     g = parse_digraph(text)

@@ -115,6 +115,20 @@ def test_records_take_their_fields_by_keyword():
     assert HomResult(found=False, witness=None, nodes_expanded=3, max_depth=2) == HomResult(
         False, None, 3, 2
     )
+    for make, *_ in RECORDS.values():
+        positional = make()
+        named = {field: getattr(positional, field) for field in positional._fields}
+        assert type(positional)(**named) == positional
+    assert HomResult(True, (0,), nodes_expanded=1, max_depth=1) == HomResult(True, (0,), 1, 1)
+    fields = "found, witness, nodes_expanded, max_depth"
+    for values, named in [
+        ((True, (0,), 1), {}),  # too few
+        ((True, (0,), 1, 1, 1), {}),  # too many
+        ((True, (0,), 1), {"depth": 1}),  # an unknown name
+        ((True, (0,), 1, 1), {"found": True}),  # a field by position and by name
+    ]:
+        with pytest.raises(TypeError, match=f"HomResult takes the fields {fields};"):
+            HomResult(*values, **named)
     assert VerificationReport(seed=1, scale="small", checks=[]).checks == []
     record = CheckRecord("x", False, "INFO", {}, {}, 0.12345)
     assert list(record.to_dict()) == ["name", "mandatory", "verdict", "inputs", "details",
