@@ -28,9 +28,9 @@ OrientedGraph constructor and in the parser; a graph that orihex derives
 itself, from a checked graph or a grid's shape, is made with _unchecked.
 The constructor walks the arcs one by one and names the first bad one.
 The parser's line walk goes through the constructor; its bulk read of
-canonical files, with their blank and comment lines dropped, builds only
-pairs of vertices below n, so it checks the rest itself (vertex -1,
-loops, repeats and 2-cycles) with one set test of its own.
+canonical files builds only pairs of vertices below n, so it checks the
+rest itself (vertex -1, loops, repeats and 2-cycles) with one set test
+of its own.
 """
 
 from __future__ import annotations
@@ -50,12 +50,9 @@ MAX_ENUMERATION_EDGES = 24
 MAX_VERTICES = 10**6
 
 #: the canonical form serialize_digraph writes: an "N M" header and then
-#: "u v" arc lines, ASCII digits, one space, each line ending in "\n"
+#: "u v" arc lines, ASCII digits, one space, each line ending in "\n";
+#: the parser tests a text for it once its line ends are "\n", the last too
 _CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
-
-#: a line the line walk skips, blank or with a first token that starts
-#: with '#', with the newline before it; re's \s is str.split's whitespace
-_SKIPPED_LINE = re.compile(r"\n\s*(?:#.*)?(?=\n)")
 
 
 class GraphFormatError(ValueError):
@@ -164,10 +161,6 @@ class OrientedGraph(Record):
                 seen.add(arc)
                 continue
             raise ArcError(i, (u, v), problem)
-
-    @cached_property
-    def arc_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.arcs)
 
     @cached_property
     def _reversed_arcs(self) -> tuple[tuple[int, int], ...]:
@@ -286,25 +279,22 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     ignored. N may be at most MAX_VERTICES. A bad arc is reported with its
     line.
 
-    A file in the canonical form serialize_digraph writes is read in bulk
-    (see _read_canonical), also once its line ends are LF and its blank and
-    comment lines are dropped. Any other file, and any whose bulk read
-    fails, is walked line by line, as it was given, through the
-    OrientedGraph constructor, which names the fault and its line. So the
-    graph, or the error and its line, is the same either way.
+    Once its line ends are LF, the last line's too, a file in the
+    canonical form serialize_digraph writes is read in bulk (see
+    _read_canonical). Any other file, such as one with a comment or blank
+    line, and any whose bulk read fails, is walked line by line through
+    the OrientedGraph constructor, which names the fault and its line. So
+    the graph, or the error and its line, is the same either way.
     """
     # lines end at "\n", "\r\n" or "\r" only: splitlines would also end one
     # at "\f", "\v", "\x85" or U+2028, and read an arc out of a comment
     text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text.endswith("\n"):
+        text += "\n"  # the walk skips the blank line this adds
     if _CANONICAL.fullmatch(text):
         graph = _read_canonical(text)
-    else:
-        # the "\n" put in front lets a skipped first line match, and the
-        # one put at the end ends the last line, if it has no "\n" of its own
-        kept = _SKIPPED_LINE.sub("", f"\n{text}\n")[1:]
-        graph = _read_canonical(kept) if _CANONICAL.fullmatch(kept) else None
-    if graph is not None:
-        return graph, {}
+        if graph is not None:
+            return graph, {}
     header: tuple[int, int] | None = None
     arcs: list[tuple[int, int]] = []
     arc_lines: list[int] = []

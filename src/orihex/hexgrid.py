@@ -134,7 +134,7 @@ class HexGrid(Record):
         serialize_digraph wrote from them) list arc i on edge i, which two
         elementwise passes confirm, against graph.arcs and against
         graph._reversed_arcs, the reversed tuples those orientations share;
-        arcs listed in any other order are looked up in the arc set.
+        arcs listed in any other order are looked up in a set of them.
         """
         if orientation.n_vertices != self.graph.n_vertices:
             raise ValueError("orientation and grid disagree on vertex count")
@@ -145,7 +145,7 @@ class HexGrid(Record):
             raise ValueError("orientation must direct exactly the grid's edges")
         along = list(map(eq, arcs, edges))
         if not all(map(or_, along, map(eq, arcs, reverse))):
-            has = orientation.arc_set.__contains__
+            has = set(arcs).__contains__
             along = list(map(has, edges))
             if not all(map(or_, along, map(has, reverse))):
                 raise ValueError("orientation must direct exactly the grid's edges")

@@ -199,47 +199,54 @@ def _with_skipped_lines(text, rng):
     return "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in lines)
 
 
-def test_skipped_lines_keep_the_bulk_read(monkeypatch):
-    """Blank lines, comment lines and CR LF or CR line ends in several
-    places leave a canonical file to the bulk read, which gives the graph
-    the line walk gives."""
-    rng = random.Random(5)
-    grid = build_hex_grid(3, 3)
-    sources = [serialize_digraph(random_orientation(grid.graph, seed)) for seed in range(3)]
-    sources += ["1 0\n", "3 2\n1 2\n3 2\n"]
+def _counting_bulk_reads(monkeypatch):
+    """The list each _read_canonical call appends its result to, from now on."""
     bulk_reads = []
     read_canonical = digraph._read_canonical
     monkeypatch.setattr(digraph, "_read_canonical",
                         lambda text: bulk_reads.append(read_canonical(text)) or bulk_reads[-1])
+    return bulk_reads
+
+
+def test_skipped_lines_take_the_line_walk(monkeypatch):
+    """A canonical file with blank lines, comment lines and CR LF or CR
+    line ends in several places is not read in bulk: the line walk reads
+    it, and gives the canonical file's graph."""
+    rng = random.Random(5)
+    grid = build_hex_grid(3, 3)
+    sources = [serialize_digraph(random_orientation(grid.graph, seed)) for seed in range(3)]
+    sources += ["1 0\n", "3 2\n1 2\n3 2\n"]
+    bulk_reads = _counting_bulk_reads(monkeypatch)
     for _ in range(40):
         source = rng.choice(sources)
         text = _with_skipped_lines(source, rng)
         expected = parse_graph_file(source)
         bulk_reads.clear()
         assert parse_graph_file(text) == expected, repr(text)
-        assert len(bulk_reads) == 1 and bulk_reads[0] == expected[0]
+        assert bulk_reads == []
         assert _walked_outcome(text, monkeypatch) == expected
 
 
-@pytest.mark.parametrize("last", ["", "# end", "  ", "#"], ids=["none", "comment", "blank", "hash"])
-def test_text_without_a_final_newline_keeps_the_bulk_read(last, monkeypatch):
-    """A canonical file without its final newline, or whose last line is a
-    blank or comment line without one, is read in bulk, and the bulk read
-    gives the graph the line walk gives."""
+@pytest.mark.parametrize("crlf,last,bulk", [
+    (False, "", 1), (True, "", 1), (False, "# end", 0), (False, "  ", 0), (False, "#", 0)],
+    ids=["none", "crlf", "comment", "blank", "hash"])
+def test_text_without_a_final_newline_keeps_the_bulk_read(crlf, last, bulk, monkeypatch):
+    """A canonical file without its final newline, with LF or CR LF line
+    ends, is read in bulk, once; one whose last line is a blank or comment
+    line without one is walked. Either way the graph is the walk's."""
     text = serialize_digraph(random_orientation(build_hex_grid(3, 3).graph, 1))
     text = text[:-1] if not last else text + last
+    if crlf:
+        text = text.replace("\n", "\r\n")
     expected = _walked_outcome(text, monkeypatch)
-    bulk_reads = []
-    read_canonical = digraph._read_canonical
-    monkeypatch.setattr(digraph, "_read_canonical",
-                        lambda text: bulk_reads.append(read_canonical(text)) or bulk_reads[-1])
+    bulk_reads = _counting_bulk_reads(monkeypatch)
     assert parse_graph_file(text) == expected
-    assert len(bulk_reads) == 1 and bulk_reads[0] == expected[0]
+    assert bulk_reads == [expected[0]] * bulk
 
 
 def test_comment_with_a_form_feed_holds_no_arc():
-    """The bulk read drops a comment line whole, so the arc after its form
-    feed stays out, as in the walk: the file lists one arc, not two."""
+    """The walk skips a comment line whole, so the arc after its form feed
+    stays out: the file lists one arc, not two."""
     with pytest.raises(GraphFormatError, match=r"^header declares 2 arcs but file lists 1$"):
         parse_digraph("3 2\n1 2\n# see\f2 3\n")
 
@@ -434,7 +441,7 @@ def assert_validated_copy_equal(g):
     """g, built without the arc check, passes it and equals its checked copy."""
     checked = OrientedGraph(g.n_vertices, g.arcs)
     assert checked == g and hash(checked) == hash(g)
-    assert checked.arc_set == g.arc_set and checked.neighbors == g.neighbors
+    assert set(checked.arcs) == set(g.arcs) and checked.neighbors == g.neighbors
 
 
 @pytest.mark.parametrize("m,n", CROSS_CHECK_SHAPES)

@@ -324,7 +324,7 @@ def _bad_entry_breaking_one_arc(grid):
     v0, v1, v2, anchor = pair[:4]
     for oriented in enumerate_orientations(grid.graph):
         colors = list(color_hex(grid, oriented))
-        arcs = oriented.arc_set
+        arcs = set(oriented.arcs)
         bits = ((v0, v1) in arcs) << 2 | ((v1, v2) in arcs) << 1 | ((v2, anchor) in arcs)
         index = (colors[v0] * 6 + colors[anchor]) << 3 | bits
         for entry in itertools.product(range(6), repeat=2):
@@ -338,7 +338,7 @@ def _bad_entry_breaking_one_arc(grid):
 def test_color_hex_final_check_catches_a_bad_table_entry(monkeypatch):
     """A wrong table entry whose coloring breaks one arc makes color_hex
     raise, with that arc listed last: arcs out of edge order, so the
-    orientation is read through its arc set."""
+    orientation is read through a set of its arcs."""
     grid = build_hex_grid(1, 1)
     oriented, index, entry, broken = _bad_entry_breaking_one_arc(grid)
     table = list(a6_path_table())
