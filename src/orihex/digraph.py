@@ -31,6 +31,13 @@ The parser's line walk goes through the constructor; its bulk read of
 canonical files builds only pairs of vertices below n, so it checks the
 rest itself (vertex -1, loops, repeats and 2-cycles) with one set test
 of its own.
+
+The canonical form of the text format is what serialize_digraph
+writes. The parser tells a canonical text by one C-level pass, a
+str.translate that deletes the digits, whose buffer is the one copy of
+the text's length it makes, and reads it in bulk. serialize_digraph
+joins the arc lines in chunks of _WRITE_CHUNK, so it never holds a list
+of every line.
 """
 
 from __future__ import annotations
@@ -38,10 +45,9 @@ from __future__ import annotations
 import itertools
 import json
 import random
-import re
 from collections.abc import Iterable, Iterator
 from functools import cached_property
-from itertools import islice
+from itertools import chain, compress, islice
 from operator import getitem, itemgetter
 
 MAX_ENUMERATION_EDGES = 24
@@ -49,10 +55,11 @@ MAX_ENUMERATION_EDGES = 24
 #: the most vertices a graph file or a built grid may have
 MAX_VERTICES = 10**6
 
-#: the canonical form serialize_digraph writes: an "N M" header and then
-#: "u v" arc lines, ASCII digits, one space, each line ending in "\n";
-#: the parser tests a text for it once its line ends are "\n", the last too
-_CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
+#: the arcs serialize_digraph writes per chunk of lines
+_WRITE_CHUNK = 4096
+
+#: the str.translate table that deletes the ASCII digits
+_DELETE_DIGITS = dict.fromkeys(b"0123456789")
 
 
 class GraphFormatError(ValueError):
@@ -171,12 +178,22 @@ class OrientedGraph(Record):
 
     @cached_property
     def neighbors(self) -> tuple[tuple[tuple[int, bool], ...], ...]:
-        """Per vertex: (other endpoint, True if the arc leaves this vertex)."""
-        nbrs = [[] for _ in range(self.n_vertices)]
-        for (u, v) in self.arcs:
+        """Per vertex: (other endpoint, True if the arc leaves this vertex),
+        in ascending order. Lists are built only for the vertices that have
+        arcs; the isolated ones share the empty tuple."""
+        arcs = self.arcs
+        linked = set(chain.from_iterable(arcs))
+        nbrs: list = [()] * self.n_vertices
+        for w in linked:
+            nbrs[w] = []
+        for (u, v) in arcs:
             nbrs[u].append((v, True))
             nbrs[v].append((u, False))
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+        for w in linked:
+            ns = nbrs[w]
+            ns.sort()
+            nbrs[w] = tuple(ns)
+        return tuple(nbrs)
 
     @cached_property
     def search_order(self) -> tuple[tuple[int, ...], frozenset[int]]:
@@ -188,7 +205,7 @@ class OrientedGraph(Record):
         placed roots its component, which is then placed breadth-first with
         neighbors in ascending index. A component's root is therefore its
         maximum-degree vertex, the lowest index on ties. Isolated vertices
-        sort last and are left out: any color serves them, so the search
+        are neither sorted nor placed: any color serves them, so the search
         gives each its lowest without a node.
         """
         nbrs = self.neighbors
@@ -196,12 +213,13 @@ class OrientedGraph(Record):
         order: list[int] = []
         starts: set[int] = set()
         head = 0
-        # sorted() is stable, so equal degrees stay in ascending index
-        for root in sorted(range(self.n_vertices), key=[-len(ns) for ns in nbrs].__getitem__):
+        degree = list(map(len, nbrs))
+        # only vertices with neighbours are sorted; sorted() is stable, also
+        # in reverse, so equal degrees stay in ascending index
+        for root in sorted(compress(range(self.n_vertices), nbrs), key=degree.__getitem__,
+                           reverse=True):
             if placed[root]:
                 continue
-            if not nbrs[root]:
-                break
             starts.add(len(order))
             placed[root] = True
             order.append(root)
@@ -234,6 +252,26 @@ def _parse_int(tok: str, what: str, line: int) -> int:
         except ValueError:
             pass  # more digits than int converts
     raise GraphFormatError(f"{what} is not an integer: {tok!r}", line)
+
+
+def _is_canonical(text: str) -> bool:
+    """True when text is in the canonical form serialize_digraph writes:
+    one or more "u v" lines, the "N M" header first, of ASCII digits and
+    one space, each line ending in "\n".
+
+    One C-level pass over the ASCII text: with its digits deleted it must
+    be " \n" one or more times, and no digit run may be empty, so no line
+    starts with a space or ends after one. These are the texts that
+    re.fullmatch(r"(?:[0-9]+ [0-9]+\n)+", text) accepts, without the
+    backtracking state that pattern keeps for every line.
+    """
+    if not (text.isascii() and text.endswith("\n")) or text.startswith(" "):
+        return False
+    # str.translate keeps an ASCII text in its C fast path, where the
+    # result is the one allocation; bytes.translate would add an encoded copy
+    separators = text.translate(_DELETE_DIGITS)
+    return (len(separators) >= 2 and separators == " \n" * (len(separators) // 2)
+            and " \n" not in text and "\n " not in text)
 
 
 def _read_canonical(text: str) -> OrientedGraph | None:
@@ -280,18 +318,19 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     line.
 
     Once its line ends are LF, the last line's too, a file in the
-    canonical form serialize_digraph writes is read in bulk (see
-    _read_canonical). Any other file, such as one with a comment or blank
-    line, and any whose bulk read fails, is walked line by line through
-    the OrientedGraph constructor, which names the fault and its line. So
-    the graph, or the error and its line, is the same either way.
+    canonical form serialize_digraph writes (told by _is_canonical's one
+    pass) is read in bulk (see _read_canonical). Any other file, such as
+    one with a comment or blank line, and any whose bulk read fails, is
+    walked line by line through the OrientedGraph constructor, which
+    names the fault and its line. So the graph, or the error and its
+    line, is the same either way.
     """
     # lines end at "\n", "\r\n" or "\r" only: splitlines would also end one
     # at "\f", "\v", "\x85" or U+2028, and read an arc out of a comment
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     if not text.endswith("\n"):
         text += "\n"  # the walk skips the blank line this adds
-    if _CANONICAL.fullmatch(text):
+    if _is_canonical(text):
         graph = _read_canonical(text)
         if graph is not None:
             return graph, {}
@@ -353,11 +392,20 @@ def parse_digraph(text: str) -> OrientedGraph:
 
 
 def serialize_digraph(g: OrientedGraph) -> str:
-    """Canonical text form: header plus one 1-based 'u v' line per arc."""
+    """Canonical text form: header plus one 1-based 'u v' line per arc.
+
+    The arc lines are joined _WRITE_CHUNK at a time, and the header and
+    the chunks once more at the end, so no list of every line is held
+    beside the text.
+    """
     names = list(map(str, range(1, g.n_vertices + 1)))
-    lines = [f"{g.n_vertices} {len(g.arcs)}"]
-    lines += [f"{names[u]} {names[v]}" for (u, v) in g.arcs]
-    return "\n".join(lines) + "\n"
+    arcs = g.arcs
+    parts = [f"{g.n_vertices} {len(arcs)}"]
+    for start in range(0, len(arcs), _WRITE_CHUNK):
+        chunk = arcs[start:start + _WRITE_CHUNK]
+        parts.append("\n".join([f"{names[u]} {names[v]}" for (u, v) in chunk]))
+    parts.append("")  # the last line ends in "\n" too
+    return "\n".join(parts)
 
 
 def _normalize_code(code: Iterable[int] | str) -> tuple[int, ...]:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -115,8 +116,12 @@ def _walked_outcome(text, monkeypatch):
     """_outcome(text) with the bulk read shut off: no text is canonical, so
     every file goes to the line walk."""
     with monkeypatch.context() as patch:
-        patch.setattr(digraph, "_CANONICAL", re.compile(r"(?!)"))
+        patch.setattr(digraph, "_is_canonical", lambda text: False)
         return _outcome(text)
+
+
+#: the canonical form as a pattern, the oracle of digraph._is_canonical
+CANONICAL = re.compile(r"(?:[0-9]+ [0-9]+\n)+")
 
 
 def _mutated(text, rng):
@@ -177,13 +182,84 @@ def test_bulk_read_agrees_with_the_line_walk(monkeypatch):
         else:
             message, line = walked
             assert got == (message, None if line is None else line - 1)
-        if digraph._CANONICAL.fullmatch(text):
+        if CANONICAL.fullmatch(text):
             if isinstance(got[0], OrientedGraph):
                 bulk_read += 1
                 zero_led += re.search(r"(?<![0-9])0[0-9]", text) is not None
             else:
                 bulk_refused += 1
     assert bulk_read > 50 and bulk_refused > 50 and zero_led > 10
+
+
+DIGIT_RUNS = ["0", "1", "7", "42", "305"]
+
+#: what a near-canonical text below may have put in: digit runs, the two
+#: separators, doubled separators, characters a canonical text never has,
+#: and nothing, which empties the piece it replaces
+NEAR_CANONICAL_PIECES = DIGIT_RUNS + [" ", "\n", "  ", "\n\n", "-", "\t", "\u0663", "\u00e9", ""]
+
+
+def _near_canonical(rng):
+    """A short text of "u v" lines, an "N M" header first or not, with up to
+    two pieces put in, replaced or deleted."""
+    pieces = ["3", " ", "2", "\n"] if rng.random() < 0.5 else []
+    for _ in range(rng.randint(0, 3)):
+        pieces += [rng.choice(DIGIT_RUNS), " ", rng.choice(DIGIT_RUNS), "\n"]
+    for _ in range(rng.randint(0, 2)):
+        at = rng.randrange(len(pieces) + 1)
+        piece = rng.choice(NEAR_CANONICAL_PIECES)
+        if at == len(pieces):
+            pieces.append(piece)
+        elif rng.random() < 0.5:
+            pieces[at] = piece
+        else:
+            pieces.insert(at, piece)
+    return "".join(pieces)
+
+
+def test_canonical_test_agrees_with_the_pattern():
+    """digraph._is_canonical accepts exactly the texts the pattern of the
+    canonical form accepts, on 100,000 short near-canonical texts."""
+    rng = random.Random(32)
+    accepted = 0
+    for _ in range(100_000):
+        text = _near_canonical(rng)
+        expected = CANONICAL.fullmatch(text) is not None
+        assert digraph._is_canonical(text) is expected, repr(text)
+        accepted += expected
+    assert 20_000 < accepted < 80_000
+    for text in ("", "\n", " \n", "1 2", "1 2\n", " 1 2\n", "1  2\n", "1 2 \n", "1 2\n\n",
+                 "1 2\n 3 4\n", "1\n2 3\n", "1 2 3\n", "\u0663 2\n", "1 2\n3"):
+        assert digraph._is_canonical(text) is (CANONICAL.fullmatch(text) is not None), repr(text)
+
+
+@pytest.fixture(scope="module")
+def h100():
+    return random_orientation(build_hex_grid(100, 100).graph, 3)
+
+
+def _traced_peak(call, *args):
+    """The most memory that call(*args) held at once, in bytes, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_canonical_test_holds_one_copy_of_the_text(h100):
+    """Testing H_{100,100}'s file for the canonical form allocates less than
+    twice the text; the pattern's backtracking state took 20 times it."""
+    text = serialize_digraph(h100)
+    assert digraph._is_canonical(text)
+    assert _traced_peak(digraph._is_canonical, text) < 2 * len(text)
+
+
+def test_writer_holds_no_list_of_every_line(h100):
+    """Writing H_{100,100} (0.32 MB of text) peaks under 2.5 MiB; a list of
+    all 30,400 lines and its joined copy took 3.8 MiB."""
+    assert _traced_peak(serialize_digraph, h100) < 2.5 * 2**20
 
 
 SKIPPED_LINES = ["", "# c", "  # c 1 2", "#", " \t", "\f", "# see\f2 3", "#1 2", "\u2028"]
@@ -290,6 +366,28 @@ def test_roundtrip_canonical():
     assert canonical == "3 2\n1 2\n3 2\n"
     assert parse_digraph(canonical) == g
     assert serialize_digraph(parse_digraph(canonical)) == canonical
+
+
+def _joined_lines(g):
+    """The canonical text as one join of every line, the oracle of the
+    chunked serialize_digraph."""
+    lines = [f"{g.n_vertices} {len(g.arcs)}"]
+    lines += [f"{u + 1} {v + 1}" for (u, v) in g.arcs]
+    return "\n".join(lines) + "\n"
+
+
+def test_writer_chunks_match_one_join(h100):
+    """The chunked writer's text is byte for byte the one join of all lines:
+    no arc, one arc, exactly one chunk, one chunk and one arc, the grid."""
+    chunk = digraph._WRITE_CHUNK
+    assert serialize_digraph(OrientedGraph(0, ())) == "0 0\n"
+    assert serialize_digraph(OrientedGraph(4, ())) == "4 0\n"
+    assert serialize_digraph(OrientedGraph(2, ((1, 0),))) == "2 1\n2 1\n"
+    for m in (1, chunk - 1, chunk, chunk + 1, 2 * chunk, len(h100.arcs)):
+        g = OrientedGraph(h100.n_vertices, h100.arcs[:m])
+        text = serialize_digraph(g)
+        assert text == _joined_lines(g)
+        assert text.count("\n") == m + 1 and parse_digraph(text) == g
 
 
 def test_roundtrip_random_graphs():
@@ -431,6 +529,55 @@ def test_isolated_vertices_have_no_neighbors():
     g = OrientedGraph(6, ((1, 3), (4, 1)))
     assert g.neighbors == ((), ((3, True), (4, False)), (), ((1, False),), ((1, True),), ())
     assert OrientedGraph(3, ()).neighbors == ((), (), ())
+
+
+def _reference_neighbors_and_order(g):
+    """neighbors and search_order as a list per vertex and one sort of all
+    vertices by (-degree, index) compute them, the oracle of the sparse
+    build."""
+    nbrs = [[] for _ in range(g.n_vertices)]
+    for (u, v) in g.arcs:
+        nbrs[u].append((v, True))
+        nbrs[v].append((u, False))
+    nbrs = tuple(tuple(sorted(ns)) for ns in nbrs)
+    placed, order, starts = [False] * g.n_vertices, [], set()
+    for root in sorted(range(g.n_vertices), key=lambda v: (-len(nbrs[v]), v)):
+        if placed[root] or not nbrs[root]:
+            continue
+        starts.add(len(order))
+        placed[root] = True
+        order.append(root)
+        head = len(order) - 1
+        while head < len(order):
+            for (w, _) in nbrs[order[head]]:
+                if not placed[w]:
+                    placed[w] = True
+                    order.append(w)
+            head += 1
+    return nbrs, (tuple(order), frozenset(starts))
+
+
+def test_sparse_neighbors_and_order_match_the_reference():
+    """Graphs with isolated vertices among the linked ones, several
+    components and tied degrees get the reference's neighbors and order."""
+    rng = random.Random(7)
+    graphs = [OrientedGraph(1, ()), OrientedGraph(5, ((3, 1),)), build_hex_grid(4, 5).graph]
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        pairs = list(itertools.combinations(range(n), 2))
+        pairs = rng.sample(pairs, rng.randint(0, min(n, len(pairs))))
+        graphs.append(OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u) for (u, v) in pairs]))
+    for g in graphs:
+        assert (g.neighbors, g.search_order) == _reference_neighbors_and_order(g)
+
+
+def test_isolated_vertices_cost_no_list_each():
+    """10^6 vertices and one arc: neighbors and search_order peak at three
+    8 MB arrays of one pointer per vertex, not a list per vertex (73 MB)."""
+    g = OrientedGraph(MAX_VERTICES, ((0, 1),))
+    assert _traced_peak(lambda: (g.neighbors, g.search_order)) < 30 * 10**6
+    assert g.neighbors[:3] == (((1, True),), ((0, False),), ())
+    assert g.search_order == ((0, 1), frozenset({0}))
 
 
 CROSS_CHECK_SHAPES = [(k, k) for k in range(1, 7)] + [
