@@ -113,11 +113,12 @@ class HexGrid(Record):
 
     @cached_property
     def coords(self) -> tuple[tuple[int, int], ...]:
-        """(i, j) of each vertex, by vertex number."""
+        """(i, j) of each vertex, by vertex number, built through a list
+        (see the digraph module docstring)."""
         spans = (hex_row_span(self.m, self.n, i) for i in range(1, self.m + 2))
-        return tuple(chain.from_iterable(
+        return tuple(list(chain.from_iterable(
             zip(repeat(i), range(lo, hi + 1)) for i, (lo, hi) in enumerate(spans, 1)
-        ))
+        )))
 
     @cached_property
     def index(self) -> dict[tuple[int, int], int]:
@@ -315,9 +316,21 @@ def fixture_file_bytes(name: str) -> bytes:
 
 
 def fixture_digest(name: str) -> str:
-    import hashlib  # maps OpenSSL's libcrypto, so only a process that digests loads it
+    """The SHA-256 hex digest of the fixture's packaged file.
 
-    return hashlib.sha256(fixture_file_bytes(name)).hexdigest()
+    The interpreter's built-in SHA-256 module (_sha2 from Python 3.12,
+    _sha256 before) does the work where it exists, as random.py takes
+    _sha2's sha512: hashlib would map OpenSSL's libcrypto, about 3.7 MB
+    of resident memory, to digest two small files.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(fixture_file_bytes(name)).hexdigest()
 
 
 @cache

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -470,6 +471,9 @@ def test_cli_and_oracle_leave_numpy_out():
     assert done.stdout.strip() == "False"
 
 
+#: the interpreter has its own SHA-256 module: _sha2 from 3.12, _sha256 before
+HAS_BUILTIN_SHA256 = any(map(importlib.util.find_spec, ("_sha2", "_sha256")))
+
 #: python -S probes, each with the modules it must leave out of sys.modules
 #: (-S skips site, whose .pth files may import anything). The stdlib may
 #: load inspect itself on some versions, so only dataclasses stands for the
@@ -486,6 +490,10 @@ IMPORT_PROBES = {
                    "orihex.color_hex(grid, g)",
                    ("hashlib", "orihex.homomorphism", "orihex.verify", "orihex.opl",
                     "importlib.resources")),
+    # fixture_digest takes the interpreter's own SHA-256 where there is one
+    "verify-paper": ("from orihex.verify import verify_paper\n"
+                     "assert verify_paper().passed",
+                     ("_hashlib",) if HAS_BUILTIN_SHA256 else ()),
 }
 
 

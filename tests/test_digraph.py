@@ -155,6 +155,20 @@ def _mutated(text, rng):
     return "".join(" ".join(line) + "\n" for line in lines)
 
 
+def _assert_reads_as_walked(text, monkeypatch):
+    """Asserts that text reads as the line walk reads it behind a comment
+    line: the same graph and coords, or the same error one line lower.
+    Returns _outcome(text)."""
+    got, walked = _outcome(text), _walked_outcome("# x\n" + text, monkeypatch)
+    assert _outcome("# x\n" + text) == walked
+    if isinstance(walked[0], OrientedGraph):
+        assert got == walked
+    else:
+        message, line = walked
+        assert got == (message, None if line is None else line - 1)
+    return got
+
+
 def test_bulk_read_agrees_with_the_line_walk(monkeypatch):
     """Canonical files and their mutants read as the line walk reads them
     behind a comment line: the same graph and coords, or the same error
@@ -172,16 +186,18 @@ def test_bulk_read_agrees_with_the_line_walk(monkeypatch):
             for (u, v) in pairs[: rng.randint(0, len(pairs))]
         )
         sources.append(serialize_digraph(OrientedGraph(n, arcs)))
+    for _ in range(10):
+        # sparse: more vertices than arc endpoints, the largest one sometimes n
+        n = rng.randint(20, 60)
+        ends = rng.sample(range(n - 1), rng.randint(2, 8))
+        if rng.random() < 0.5:
+            ends[-1] = n - 1
+        arcs = tuple(zip(ends[::2], ends[1::2]))
+        sources.append(serialize_digraph(OrientedGraph(n, arcs)))
     bulk_read, bulk_refused, zero_led = 0, 0, 0
     for _ in range(600):
         text = _mutated(rng.choice(sources), rng)
-        got, walked = _outcome(text), _walked_outcome("# x\n" + text, monkeypatch)
-        assert _outcome("# x\n" + text) == walked
-        if isinstance(walked[0], OrientedGraph):
-            assert got == walked
-        else:
-            message, line = walked
-            assert got == (message, None if line is None else line - 1)
+        got = _assert_reads_as_walked(text, monkeypatch)
         if CANONICAL.fullmatch(text):
             if isinstance(got[0], OrientedGraph):
                 bulk_read += 1
@@ -318,6 +334,49 @@ def test_text_without_a_final_newline_keeps_the_bulk_read(crlf, last, bulk, monk
     bulk_reads = _counting_bulk_reads(monkeypatch)
     assert parse_graph_file(text) == expected
     assert bulk_reads == [expected[0]] * bulk
+
+
+#: arcs 1-based over N = 40 vertices, more than twice the arcs, and the
+#: faults a test below puts at the first or the last arc: the table of
+#: vertex ints ends at the largest token, or at N where a token is past N
+SPARSE_N = 40
+SPARSE_ARCS = [(3, 9), (12, 5), (7, 30), (21, 2)]
+SPARSE_FAULTS = {
+    "none": lambda arcs, at: arcs[at],
+    "largest N": lambda arcs, at: (arcs[at][0], SPARSE_N),
+    "N+1": lambda arcs, at: (SPARSE_N + 1, arcs[at][1]),
+    "zero": lambda arcs, at: (arcs[at][0], 0),
+    "loop": lambda arcs, at: (arcs[at][1], arcs[at][1]),
+    "repeat": lambda arcs, at: arcs[1 if at == 0 else 0],
+    "2-cycle": lambda arcs, at: arcs[1 if at == 0 else 0][::-1],
+}
+
+
+@pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("fault", SPARSE_FAULTS)
+def test_sparse_bulk_read_agrees_with_the_line_walk(fault, at, monkeypatch):
+    """A canonical file of few arcs over many vertices reads as the walk
+    reads it, with or without the largest vertex N in its arcs, and each
+    fault put at its first or last arc gets the walk's error and line."""
+    arcs = list(SPARSE_ARCS)
+    arcs[at] = SPARSE_FAULTS[fault](SPARSE_ARCS, at)
+    text = "".join(f"{u} {v}\n" for (u, v) in [(SPARSE_N, len(arcs)), *arcs])
+    bulk_reads = _counting_bulk_reads(monkeypatch)
+    got = _assert_reads_as_walked(text, monkeypatch)
+    good = fault in ("none", "largest N")
+    assert isinstance(got[0], OrientedGraph) is good
+    assert bulk_reads == [got[0] if good else None]
+
+
+@pytest.mark.parametrize("arcs", [((0, 1),), ()], ids=["one arc", "none"])
+def test_sparse_file_costs_memory_by_its_arcs(arcs):
+    """10^6 vertices and one arc or none parse in bulk with a peak under
+    1 MB: the table of vertex ints ends at the largest token, where one
+    int per vertex up to N took 38 MiB."""
+    text = serialize_digraph(OrientedGraph(MAX_VERTICES, arcs))
+    assert parse_graph_file(text) == (OrientedGraph(MAX_VERTICES, arcs), {})
+    assert digraph._read_canonical(text) is not None
+    assert _traced_peak(parse_graph_file, text) < 10**6
 
 
 def test_comment_with_a_form_feed_holds_no_arc():

@@ -1,7 +1,8 @@
 import hashlib
 import random
 from collections import deque
-from operator import eq
+from itertools import chain, repeat
+from operator import eq, itemgetter
 
 import pytest
 
@@ -10,6 +11,7 @@ from orihex.hexgrid import (
     AxialFixture,
     HexGrid,
     build_hex_grid,
+    fixture_digest,
     fixture_file_bytes,
     fixture_h4,
     fixture_h49,
@@ -86,6 +88,27 @@ def test_row_arithmetic_matches_coordinate_lookups():
         assert grid.coords == coords, (m, n)
         assert grid.graph.arcs == edges, (m, n)
         assert list(grid.index.items()) == list(index.items()), (m, n)
+
+
+def _reversed_by_iterator(g):
+    return tuple(zip(map(itemgetter(1), g.arcs), map(itemgetter(0), g.arcs)))
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 3), (7, 4), (1, 300), (300, 1), (100, 100)])
+def test_list_built_tuples_match_the_iterator_forms(m, n):
+    """coords and the graph's reversed arcs, built through lists, equal the
+    tuples that tuple() makes straight from the same iterators."""
+    grid = build_hex_grid(m, n)
+    spans = (hex_row_span(m, n, i) for i in range(1, m + 2))
+    assert grid.coords == tuple(chain.from_iterable(
+        zip(repeat(i), range(lo, hi + 1)) for i, (lo, hi) in enumerate(spans, 1)))
+    assert grid.graph._reversed_arcs == _reversed_by_iterator(grid.graph)
+    assert type(grid.coords) is type(grid.graph._reversed_arcs) is tuple
+
+
+def test_fixture_reversed_arcs_match_the_iterator_form():
+    for g in (fixture_h4().graph, fixture_h49().graph, OrientedGraph(1, ())):
+        assert g._reversed_arcs == _reversed_by_iterator(g)
 
 
 def test_arc_endpoints_are_the_index_numbers():
@@ -171,6 +194,7 @@ def test_hex_grid_embeds_in_square_grid():
 def test_fixture_digests_pinned():
     assert hashlib.sha256(fixture_file_bytes("H4")).hexdigest() == H4_SHA256
     assert hashlib.sha256(fixture_file_bytes("H49")).hexdigest() == H49_SHA256
+    assert (fixture_digest("H4"), fixture_digest("H49")) == (H4_SHA256, H49_SHA256)
 
 
 def test_h4_exact_arc_list():
