@@ -220,7 +220,7 @@ def _add_grid_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("-m", type=int, required=True, help="hexagon rows")
     p.add_argument("-n", type=int, required=True, help="hexagons per row")
     src = p.add_mutually_exclusive_group()
-    src.add_argument("--seed", type=int, help="seeded random orientation")
+    src.add_argument("--seed", type=int, help="seeded random orientation (nonnegative)")
     src.add_argument("--code", help="explicit orientation bits, one per edge")
     src.add_argument("-g", "--graph", help="orientation from a graph file")
 
@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     opl.set_defaults(fn=_cmd_export_opl)
 
     vp = sub.add_parser("verify-paper", help="run the full verification pipeline")
-    vp.add_argument("--seed", type=int, default=0)
+    vp.add_argument("--seed", type=int, default=0,
+                    help="nonnegative seed of the sampled orientations")
     vp.add_argument("--scale", choices=list(SCALES), default="small")
     vp.add_argument("--json", action="store_true")
     vp.add_argument("--out", help="also write the JSON report to this path")

@@ -33,11 +33,10 @@ rest itself (vertex -1, loops, repeats and 2-cycles) with one set test
 of its own.
 
 The canonical form of the text format is what serialize_digraph
-writes. The parser tells a canonical text by one C-level pass, a
-str.translate that deletes the digits, whose buffer is the one copy of
-the text's length it makes, and reads it in bulk. serialize_digraph
-joins the arc lines in chunks of _WRITE_CHUNK, so it never holds a list
-of every line.
+writes. The parser reads every text in bulk first, behind one C-level
+guard (see _read_canonical), and walks the lines of any text the bulk
+read turns away. serialize_digraph joins the arc lines in chunks of
+_WRITE_CHUNK, so it never holds a list of every line.
 
 A large tuple of fresh pairs is built from a list, tuple(list(pairs)),
 never by tuple(<iterator>) straight: a tuple of unknown length grows by
@@ -263,42 +262,33 @@ def _parse_int(tok: str, what: str, line: int) -> int:
     raise GraphFormatError(f"{what} is not an integer: {tok!r}", line)
 
 
-def _is_canonical(text: str) -> bool:
-    """True when text is in the canonical form serialize_digraph writes:
-    one or more "u v" lines, the "N M" header first, of ASCII digits and
-    one space, each line ending in "\n".
-
-    One C-level pass over the ASCII text: with its digits deleted it must
-    be " \n" one or more times, and no digit run may be empty, so no line
-    starts with a space or ends after one. These are the texts that
-    re.fullmatch(r"(?:[0-9]+ [0-9]+\n)+", text) accepts, without the
-    backtracking state that pattern keeps for every line.
-    """
-    if not (text.isascii() and text.endswith("\n")) or text.startswith(" "):
-        return False
-    # str.translate keeps an ASCII text in its C fast path, where the
-    # result is the one allocation; bytes.translate would add an encoded copy
-    separators = text.translate(_DELETE_DIGITS)
-    return (len(separators) >= 2 and separators == " \n" * (len(separators) // 2)
-            and " \n" not in text and "\n " not in text)
-
-
 def _read_canonical(text: str) -> OrientedGraph | None:
-    """The graph of a text in canonical form, read in bulk, or None where
-    the line walk must read it or name its fault.
+    """The graph of a text in the canonical form serialize_digraph writes,
+    read in bulk, or None where the line walk must read it or name its
+    fault. The text ends in "\n", as parse_graph_file leaves it.
 
-    With commas for separators the text is one JSON array of numbers,
-    decoded by one json.loads. The tails and the heads are mapped once
-    each from that list through one table of shared vertex ints, and the
-    arcs are paired from them. Pairing makes only pairs, and a vertex past
-    n fails its index, so the rest (a 0 token, loops, repeats and
-    2-cycles) is checked here in C-level set work and the graph is built
-    unchecked.
+    The one guard is a C-level pass: the text is ASCII, and with its
+    digits deleted it is " \n" repeated. With commas for separators it is
+    then one JSON array of numbers, decoded by one json.loads, which
+    refuses the ",,", "[," or ",]" that an empty digit run (a line that
+    starts with a space or ends after one) leaves, so the guard need not
+    look for one. The tails and the heads are mapped once each from that
+    list through one table of shared vertex ints, and the arcs are paired
+    from them. Pairing makes only pairs, and a vertex past n fails its
+    index, so the rest (a 0 token, loops, repeats and 2-cycles) is checked
+    here in C-level set work and the graph is built unchecked.
 
     The table holds one int per vertex number up to n, or, when n > 2m,
     up to the largest token: a file of few arcs over many vertices then
     costs memory by its arcs, not by n, and a dense file pays no max pass.
     """
+    if not text.isascii():
+        return None
+    # str.translate keeps an ASCII text in its C fast path, where the
+    # result is the one allocation; bytes.translate would add an encoded copy
+    separators = text.translate(_DELETE_DIGITS)
+    if separators != " \n" * (len(separators) // 2):
+        return None
     try:
         tokens = json.loads("[" + text[:-1].replace(" ", ",").replace("\n", ",") + "]")
         n, m = tokens[0], tokens[1]
@@ -320,8 +310,9 @@ def _read_canonical(text: str) -> OrientedGraph | None:
                 if len(pair_set) == len(pairs) and pair_set.isdisjoint(zip(heads, tails)):
                     return _unchecked(n, pairs)
     except (ValueError, IndexError):
-        # JSON's refusal (leading zeros, a number too long for int), or a
-        # vertex past n: the walk reads the file or names the fault and its line
+        # JSON's refusal (an empty digit run, leading zeros, a number too
+        # long for int), or a vertex past n: the walk reads the file or
+        # names the fault and its line
         pass
     return None
 
@@ -336,13 +327,12 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
     ignored. N may be at most MAX_VERTICES. A bad arc is reported with its
     line.
 
-    Once its line ends are LF, the last line's too, a file in the
-    canonical form serialize_digraph writes (told by _is_canonical's one
-    pass) is read in bulk (see _read_canonical). Any other file, such as
-    one with a comment or blank line, and any whose bulk read fails, is
-    walked line by line through the OrientedGraph constructor, which
-    names the fault and its line. So the graph, or the error and its
-    line, is the same either way.
+    Once its line ends are LF, the last line's too, the text is read in
+    bulk (see _read_canonical). A text the bulk read turns away, one not
+    in the canonical form serialize_digraph writes, such as one with a
+    comment or blank line, or one with a fault, is walked line by line
+    through the OrientedGraph constructor, which names the fault and its
+    line. So the graph, or the error and its line, is the same either way.
     """
     # lines end at "\n", "\r\n" or "\r" only: splitlines would also end one
     # at "\f", "\v", "\x85" or U+2028, and read an arc out of a comment
@@ -350,10 +340,9 @@ def parse_graph_file(text: str) -> tuple[OrientedGraph, dict[int, tuple[int, int
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     if not text.endswith("\n"):
         text += "\n"  # the walk skips the blank line this adds
-    if _is_canonical(text):
-        graph = _read_canonical(text)
-        if graph is not None:
-            return graph, {}
+    graph = _read_canonical(text)
+    if graph is not None:
+        return graph, {}
     header: tuple[int, int] | None = None
     arcs: list[tuple[int, int]] = []
     arc_lines: list[int] = []
@@ -476,7 +465,10 @@ def random_orientation(g: OrientedGraph, seed: int) -> OrientedGraph:
     1 directs it as g does, 0 reverses it.
     The outputs are drawn in one getrandbits(32 * |E|) call, which yields
     the same words in order, so each seed keeps its orientation.
+    ValueError for a negative seed, which random.Random reads as |seed|.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     m = len(g.arcs)
     words = random.Random(seed).getrandbits(32 * m).to_bytes(4 * m, "little")
     # byte 3 of each little-endian word holds its top bit

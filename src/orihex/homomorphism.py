@@ -283,8 +283,9 @@ def brute_force_hom(g: OrientedGraph, t: Tournament) -> HomResult:
 def chi_o(
     g: OrientedGraph, k_max: int = 5, time_budget_s: float | None = None
 ) -> int | None:
-    """Least k <= k_max such that g has an oriented k-coloring, else None;
-    ValueError if k_max < 1 or the search passes MAX_CENSUS_ORDER.
+    """Least k <= k_max such that g has an oriented k-coloring (0 for no
+    vertices), else None; ValueError if k_max < 1 or the search passes
+    MAX_CENSUS_ORDER.
 
     A time budget is checked as in homomorphism_exists and counts over
     the whole call: each search gets the time still left, and
@@ -292,6 +293,8 @@ def chi_o(
     if k_max < 1:
         raise ValueError(f"k_max must be at least 1, got {k_max}")
     deadline = _deadline(time_budget_s)
+    if not g.n_vertices:
+        return 0
     try:
         for k in range(1, k_max + 1):
             for t in enumerate_tournaments(k):

@@ -273,9 +273,12 @@ def _h4_colorable(report: VerificationReport) -> tuple[bool, dict]:
 
 def verify_paper(seed: int = 0, scale: str = "small") -> VerificationReport:
     """Run every check and assemble the report (PASS exit means both bounds
-    verified at the requested scale)."""
+    verified at the requested scale). ValueError, before any check runs,
+    for an unknown scale or a negative seed."""
     if scale not in SCALES:
         raise ValueError(f"scale must be one of {sorted(SCALES)}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     report = VerificationReport(seed=seed, scale=scale)
     m, n, trials = SCALES[scale]
     others = [f"T{i}" for i in range(1, 13) if i != 5]

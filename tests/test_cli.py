@@ -145,6 +145,10 @@ def test_usage_errors_exit_two(capsys):
         ("chi-o -g H4 --k-max 0", "k_max must be at least 1, got 0"),
         ("chi-o -g H4 --k-max -1", "k_max must be at least 1, got -1"),
         ("hex gen -m 3000 -n 3000", "a 3000 x 3000 grid has 18012000 vertices, over the limit 1000000"),
+        # random.Random reads a negative seed as its absolute value
+        ("hex gen -m 2 -n 2 --seed -3", "seed must be nonnegative, got -3"),
+        ("color -m 2 -n 2 --seed -3", "seed must be nonnegative, got -3"),
+        ("verify-paper --seed -1", "seed must be nonnegative, got -1"),
     ],
 )
 def test_input_errors_print_one_line(capsys, tmp_path, argv, err):
@@ -367,6 +371,24 @@ def test_chi_o_json_sentinel(capsys, tmp_path):
     code, out, _ = run(capsys, "chi-o", "-g", str(f), "--k-max", "1", "--json")
     assert code == 0
     assert json.loads(out) == {"chi_o": None, "k_max": 1}
+
+
+def test_chi_o_text_sentinel(capsys, tmp_path):
+    f = tmp_path / "arc.digraph"
+    f.write_text("2 1\n1 2\n")
+    assert run(capsys, "chi-o", "-g", str(f), "--k-max", "1") == (0, "> 1\n", "")
+
+
+def test_chi_o_of_the_empty_graph(capsys, tmp_path):
+    """A file of no vertices has chi_o 0, as hom check's empty map into the
+    order-0 tournament says."""
+    f = tmp_path / "empty.digraph"
+    f.write_text("0 0\n")
+    assert run(capsys, "chi-o", "-g", str(f)) == (0, "0\n", "")
+    code, out, _ = run(capsys, "chi-o", "-g", str(f), "--json")
+    assert (code, json.loads(out)) == (0, {"chi_o": 0, "k_max": 5})
+    code, out, _ = run(capsys, "hom", "check", "-g", str(f), "-t", "0:", "--json")
+    assert (code, json.loads(out)["verdict"]) == (0, "FOUND")
 
 
 #: the (u, v, pattern) triples the reverse transitive 5-tournament cannot

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from collections import deque
 from itertools import chain, repeat
 from operator import eq, itemgetter
@@ -197,6 +198,14 @@ def test_fixture_digests_pinned():
     assert (fixture_digest("H4"), fixture_digest("H49")) == (H4_SHA256, H49_SHA256)
 
 
+def test_fixture_digest_falls_back_to_hashlib(monkeypatch):
+    """Where the interpreter has no built-in SHA-256 module, hashlib's
+    digests are the pinned ones."""
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    assert (fixture_digest("H4"), fixture_digest("H49")) == (H4_SHA256, H49_SHA256)
+
+
 def test_h4_exact_arc_list():
     g = fixture_h4().graph
     assert g.n_vertices == 18
@@ -275,6 +284,19 @@ def test_lattice_rejects_duplicate_coordinates():
     assert not validate_axial_fixture(f).ok
 
 
+def test_lattice_rejects_degree_above_three():
+    star = OrientedGraph(5, ((0, 1), (0, 2), (3, 0), (0, 4)))
+    f = AxialFixture(star, ((0, 1), (0, 2), (1, 1), (-1, 1), (0, 0)))
+    check = validate_axial_fixture(f)
+    assert not check.ok
+    assert "vertex 1 has degree 4 > 3" in check.violations
+
+
+def test_axial_fixture_needs_one_coordinate_pair_per_vertex():
+    with pytest.raises(ValueError, match="^one coordinate pair per vertex required$"):
+        AxialFixture(OrientedGraph(2, ((0, 1),)), ((0, 1),))
+
+
 def test_lattice_direction_is_irrelevant():
     # a valid edge stays valid when the arc direction flips
     for arcs in (((0, 1),), ((1, 0),)):
@@ -314,6 +336,8 @@ def test_orientation_extending():
         orientation_extending(grid, [forced[0], (forced[0][1], forced[0][0])])
     with pytest.raises(ValueError):
         orientation_extending(grid, [(0, grid.graph.n_vertices - 1)])
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -3$"):
+        orientation_extending(grid, forced, seed=-3)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])

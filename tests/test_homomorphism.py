@@ -222,6 +222,19 @@ def test_chi_o_values():
     assert chi_o(OrientedGraph(3, ())) == 1
 
 
+def test_chi_o_of_the_empty_graph_is_zero():
+    """The graph with no vertices maps into the tournament of order 0, so
+    its oriented chromatic number is 0, for any k_max; the bound and the
+    budget are still checked first."""
+    empty = OrientedGraph(0, ())
+    assert homomorphism_exists(empty, Tournament(0, ())).found
+    assert chi_o(empty) == chi_o(empty, k_max=1) == 0
+    with pytest.raises(ValueError, match="k_max"):
+        chi_o(empty, k_max=0)
+    with pytest.raises(ValueError, match="time budget"):
+        chi_o(empty, time_budget_s=0)
+
+
 def test_chi_o_sentinel():
     # dense blocker: a graph needing more than 1 color with k_max=1
     assert chi_o(OrientedGraph(2, ((0, 1),)), k_max=1) is None

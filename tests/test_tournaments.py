@@ -64,6 +64,22 @@ def test_bits_roundtrip():
         assert parse_tournament(bits, 5).bits == bits
 
 
+@pytest.mark.parametrize("order,masks,message", [
+    (3, (0b110, 0b100), "out_masks length must equal order"),
+    (2, (0b110, 0), "vertex 0 dominates out-of-range vertices"),
+    (2, (0b11, 0), "self-loop at vertex 0"),
+], ids=["length", "range", "loop"])
+def test_constructor_refusals(order, masks, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Tournament(order, masks)
+
+
+def test_canonical_form_order_limit():
+    transitive = Tournament.from_arcs(9, [(i, j) for i in range(9) for j in range(i + 1, 9)])
+    with pytest.raises(ValueError, match="^order 9 exceeds canonical-scan limit 8$"):
+        canonical_form(transitive)
+
+
 def test_completeness_enforced():
     with pytest.raises(ValueError):
         Tournament(3, (0, 0, 0))

@@ -33,6 +33,22 @@ def test_report_matches_golden():
     assert without_times(report.to_dict()) == json.loads(GOLDEN.read_text())
 
 
+def test_unknown_scale_is_refused():
+    with pytest.raises(ValueError, match=r"^scale must be one of \['full', 'small'\]$"):
+        verify.verify_paper(scale="huge")
+
+
+def test_negative_seed_is_refused_before_any_check(monkeypatch):
+    """random.Random reads seed -1 as 1, so verify_paper refuses it rather
+    than report -1 over seed 1's samples; no check runs."""
+    def census_ran():
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_census_check", census_ran)
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        verify.verify_paper(seed=-1)
+
+
 def test_search_over_budget_is_undecided(monkeypatch, capsys):
     def over_budget(g, t, time_budget_s=None):
         raise SearchBudgetExceeded("time budget exceeded")
