@@ -21,7 +21,10 @@ a grid's graph lists each edge from its smaller coordinate, and orient,
 enumerate_orientations and random_orientation keep or reverse its arcs,
 one bit each. A re-orientation makes no arc of its own: each of its arcs
 is its base graph's own tuple or the reversed tuple that the base keeps,
-built once per base graph.
+built once per base graph. Nor does it compute a search order: it
+searches in its base's order, which depends only on the edges they
+share, and a re-orientation of a re-orientation in that of the first
+base.
 
 Arcs are checked where they enter the program, in the public
 OrientedGraph constructor and in the parser; a graph that orihex derives
@@ -154,6 +157,11 @@ class OrientedGraph(Record):
     n_vertices: int
     arcs: tuple[tuple[int, int], ...]
 
+    #: the root graph a re-orientation was made from (see _directed), else
+    #: None; unannotated, so not a field: equality, hashing and repr
+    #: do not see it
+    _base = None
+
     def __init__(self, n_vertices: int, arcs: Iterable[tuple[int, int]]):
         super().__init__(n_vertices, tuple(arcs))
         seen = set()
@@ -185,29 +193,36 @@ class OrientedGraph(Record):
         return tuple(list(zip(map(itemgetter(1), arcs), map(itemgetter(0), arcs))))
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[tuple[int, bool], ...], ...]:
-        """Per vertex: (other endpoint, True if the arc leaves this vertex),
-        in ascending order. Lists are built only for the vertices that have
-        arcs; the isolated ones share the empty tuple."""
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, one tuple: the heads of its out-arcs in ascending
+        order, then -1, then the tails of its in-arcs in ascending order.
+        The ints are the arcs' own objects. Only the vertices that have arcs
+        get a tuple of their own; the isolated ones share the empty tuple."""
         arcs = self.arcs
         linked = set(chain.from_iterable(arcs))
-        nbrs: list = [()] * self.n_vertices
+        adj: list = [()] * self.n_vertices
+        pred = {}
         for w in linked:
-            nbrs[w] = []
+            adj[w] = []
+            pred[w] = []
         for (u, v) in arcs:
-            nbrs[u].append((v, True))
-            nbrs[v].append((u, False))
+            adj[u].append(v)
+            pred[v].append(u)
         for w in linked:
-            ns = nbrs[w]
-            ns.sort()
-            nbrs[w] = tuple(ns)
-        return tuple(nbrs)
+            out = adj[w]
+            out.sort()
+            out.append(-1)
+            tails = pred[w]
+            tails.sort()
+            out += tails
+            adj[w] = tuple(out)
+        return tuple(adj)
 
     @cached_property
     def search_order(self) -> tuple[tuple[int, ...], frozenset[int]]:
         """The static variable order of homomorphism_exists, and the
         positions in it where the connected components start; computed on
-        the graph's first search and kept, like neighbors.
+        the graph's first search and kept, like adjacency.
 
         One pass over the vertices by (-degree, index): each vertex not yet
         placed roots its component, which is then placed breadth-first with
@@ -215,16 +230,20 @@ class OrientedGraph(Record):
         maximum-degree vertex, the lowest index on ties. Isolated vertices
         are neither sorted nor placed: any color serves them, so the search
         gives each its lowest without a node.
+
+        The order depends only on the edges, not on their directions, so a
+        re-orientation returns its base graph's order (see _directed).
         """
-        nbrs = self.neighbors
-        placed = [False] * self.n_vertices
+        if self._base is not None:
+            return self._base.search_order
+        adj = self.adjacency
+        placed = bytearray(self.n_vertices)
         order: list[int] = []
         starts: set[int] = set()
         head = 0
-        degree = list(map(len, nbrs))
-        # only vertices with neighbours are sorted; sorted() is stable, also
-        # in reverse, so equal degrees stay in ascending index
-        for root in sorted(compress(range(self.n_vertices), nbrs), key=degree.__getitem__,
+        # only vertices with arcs are sorted; sorted() is stable, also in
+        # reverse, so equal degrees stay in ascending index
+        for root in sorted(compress(range(self.n_vertices), adj), key=lambda v: len(adj[v]),
                            reverse=True):
             if placed[root]:
                 continue
@@ -232,7 +251,8 @@ class OrientedGraph(Record):
             placed[root] = True
             order.append(root)
             while head < len(order):
-                for (w, _) in nbrs[order[head]]:
+                # -1 sorts first: the neighbours follow in ascending index
+                for w in sorted(adj[order[head]])[1:]:
                     if not placed[w]:
                         placed[w] = True
                         order.append(w)
@@ -430,9 +450,13 @@ def _directed(g: OrientedGraph, bits: Iterable[int]) -> OrientedGraph:
     rules out every fault an arc could have here.
 
     Arc i of the result is the very tuple g.arcs[i] or g._reversed_arcs[i],
-    so a re-orientation allocates only its outer tuple.
+    so a re-orientation allocates only its outer tuple. It records g, or
+    g's own base if g is a re-orientation too, as its _base, whose
+    search_order it shares.
     """
-    return _unchecked(g.n_vertices, tuple(map(getitem, zip(g._reversed_arcs, g.arcs), bits)))
+    graph = _unchecked(g.n_vertices, tuple(map(getitem, zip(g._reversed_arcs, g.arcs), bits)))
+    graph.__dict__["_base"] = g if g._base is None else g._base
+    return graph
 
 
 def orient(g: OrientedGraph, code: Iterable[int] | str) -> OrientedGraph:

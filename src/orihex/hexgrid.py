@@ -293,9 +293,10 @@ def validate_axial_fixture(fixture: AxialFixture) -> LatticeCheck:
                 f"arc {u + 1} -> {v + 1} joins non-neighbor lattice points "
                 f"{coords[u]} and {coords[v]}"
             )
-    for v, nbrs in enumerate(fixture.graph.neighbors):
-        if len(nbrs) > 3:
-            violations.append(f"vertex {v + 1} has degree {len(nbrs)} > 3")
+    for v, adj in enumerate(fixture.graph.adjacency):
+        # a vertex with arcs has its neighbors and the -1 between them
+        if len(adj) - 1 > 3:
+            violations.append(f"vertex {v + 1} has degree {len(adj) - 1} > 3")
     return LatticeCheck(not violations, tuple(violations))
 
 

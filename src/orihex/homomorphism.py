@@ -85,28 +85,34 @@ def _propagate(
     pending: set[int],
     doms: list[int],
     trail: list[tuple[int, int]],
-    nbrs: Sequence[Sequence[tuple[int, bool]]],
+    adj: Sequence[Sequence[int]],
     out_sup: Sequence[int],
     in_sup: Sequence[int],
 ) -> tuple[int, int] | None:
     """Revise the neighbors of each pending vertex, in any order, adding
     each vertex whose domain narrows, until none is pending; each change
-    is pushed on the trail as (vertex, old domain). None at the fixpoint,
-    else the arc (v, w) whose revision emptied w's domain, which is left
-    as it was. Whether a wipeout happens does not depend on the order:
-    there is one fixpoint; which arc is named does."""
+    is pushed on the trail as (vertex, old domain). A vertex's successors
+    are revised against the out-support of its domain, and its
+    predecessors, after the -1 in its adjacency, against the in-support.
+    None at the fixpoint, else the arc (v, w) whose revision emptied w's
+    domain, which is left as it was. Whether a wipeout happens does not
+    depend on the order: there is one fixpoint; which arc is named does."""
     while pending:
         v = pending.pop()
         dv = doms[v]
-        for (w, outgoing) in nbrs[v]:
-            dw = doms[w]
-            nd = dw & (out_sup[dv] if outgoing else in_sup[dv])
-            if nd != dw:
-                if not nd:
-                    return (v, w)
-                trail.append((w, dw))
-                doms[w] = nd
-                pending.add(w)
+        sup = out_sup[dv]
+        for w in adj[v]:
+            if w >= 0:
+                dw = doms[w]
+                nd = dw & sup
+                if nd != dw:
+                    if not nd:
+                        return (v, w)
+                    trail.append((w, dw))
+                    doms[w] = nd
+                    pending.add(w)
+            else:
+                sup = in_sup[dv]
     return None
 
 
@@ -135,8 +141,9 @@ def homomorphism_exists(
     colors run out, so each position starts at the trail length it marked.
 
     Vertices are assigned in the static order of `g.search_order`, which
-    the graph computes on its first search and keeps for every later one,
-    target vertices tried in ascending order. Isolated vertices are not in
+    the graph computes on its first search and keeps for every later one
+    (a re-orientation takes its base graph's), target vertices tried in
+    ascending order. Isolated vertices are not in
     the order: each takes color 0 without a node, and an empty target
     leaves any graph with a vertex uncolorable. Propagation only removes
     colors that no homomorphism extending the current assignment uses, so
@@ -154,7 +161,7 @@ def homomorphism_exists(
     if k > MAX_SEARCH_ORDER:
         raise ValueError(f"target order {k} exceeds the search limit {MAX_SEARCH_ORDER}")
     deadline = _deadline(time_budget_s)
-    nbrs = g.neighbors
+    adj = g.adjacency
     out_sup, in_sup = t.out_support, t.in_support
     full = (1 << k) - 1
     if not full and g.n_vertices:
@@ -165,7 +172,7 @@ def homomorphism_exists(
     # full domains are arc consistent unless the target has a source or a sink
     if (
         out_sup[full] & in_sup[full] != full
-        and _propagate(set(range(g.n_vertices)), doms, trail, nbrs, out_sup, in_sup)
+        and _propagate(set(range(g.n_vertices)), doms, trail, adj, out_sup, in_sup)
         is not None
     ):
         return HomResult(False, None, 0, 0)
@@ -198,7 +205,7 @@ def homomorphism_exists(
         if doms[v] != low:
             trail.append((v, doms[v]))
             doms[v] = low
-            if _propagate({v}, doms, trail, nbrs, out_sup, in_sup) is not None:
+            if _propagate({v}, doms, trail, adj, out_sup, in_sup) is not None:
                 _undo(doms, trail, marks[p])
                 continue
         p += 1
@@ -210,8 +217,11 @@ def homomorphism_exists(
 
     if m < g.n_vertices:
         # the vertices left out of the order are isolated and keep full domains
-        doms = [d if ns else 1 for (d, ns) in zip(doms, nbrs)]
-    witness = tuple([d.bit_length() - 1 for d in doms])
+        colors = [d.bit_length() - 1 if a else 0 for (d, a) in zip(doms, adj)]
+    else:
+        colors = [d.bit_length() - 1 for d in doms]
+    del doms  # freed before the witness tuple is built
+    witness = tuple(colors)
     assert validate_homomorphism(g, t, witness)
     return HomResult(True, witness, nodes, max_depth)
 

@@ -59,7 +59,7 @@ def test_parse_packaged_h4_degree_bound():
     g = parse_digraph(fixture_file_bytes("H4").decode())
     assert g.n_vertices == 18
     assert len(g.arcs) == 21
-    assert all(len(g.neighbors[v]) <= 3 for v in range(g.n_vertices))
+    assert all(len(adj) - 1 <= 3 for adj in g.adjacency)
 
 
 @pytest.mark.parametrize(
@@ -494,7 +494,7 @@ def test_orient_path_codes():
 def test_orient_hexagon_alternating():
     g = orient(cycle(6), "101010")
     assert len(g.arcs) == 6
-    out_degrees = [sum(leaves for _, leaves in nbrs) for nbrs in g.neighbors]
+    out_degrees = [adj.index(-1) for adj in g.adjacency]
     assert all(d in (0, 1, 2) for d in out_degrees)
     assert sum(out_degrees) == 6
 
@@ -532,7 +532,7 @@ def test_enumerate_hexagon_count_distinct():
 def test_enumerate_triangle_directed_cycles():
     count = 0
     for g in enumerate_orientations(cycle(3)):
-        if all(sum(leaves for _, leaves in nbrs) == 1 for nbrs in g.neighbors):
+        if all(adj.index(-1) == 1 for adj in g.adjacency):
             count += 1
     assert count == 2
 
@@ -616,20 +616,31 @@ def test_random_orientation_matches_per_edge_draws():
 
 
 def test_isolated_vertices_have_no_neighbors():
-    g = OrientedGraph(6, ((1, 3), (4, 1)))
-    assert g.neighbors == ((), ((3, True), (4, False)), (), ((1, False),), ((1, True),), ())
-    assert OrientedGraph(3, ()).neighbors == ((), (), ())
+    g = OrientedGraph(6, ((1, 3), (4, 1), (3, 5)))
+    assert g.adjacency == ((), (3, -1, 4), (), (5, -1, 1), (1, -1), (-1, 3))
+    assert OrientedGraph(3, ()).adjacency == ((), (), ())
 
 
-def _reference_neighbors_and_order(g):
-    """neighbors and search_order as a list per vertex and one sort of all
+def test_adjacency_holds_the_arcs_own_ints():
+    big = 1000  # past CPython's cache of small ints, so equal ints may be two objects
+    g = OrientedGraph(big + 3, ((big, big + 2), (big + 1, big)))
+    (u, v), (x, y) = g.arcs
+    assert g.adjacency[big] == (big + 2, -1, big + 1)
+    assert g.adjacency[big][0] is v and g.adjacency[big][2] is x
+    assert g.adjacency[big + 1][0] is y and g.adjacency[big + 2][1] is u
+
+
+def _reference_adjacency_and_order(g):
+    """adjacency and search_order as a list per vertex and one sort of all
     vertices by (-degree, index) compute them, the oracle of the sparse
     build."""
-    nbrs = [[] for _ in range(g.n_vertices)]
+    succ = [[] for _ in range(g.n_vertices)]
+    pred = [[] for _ in range(g.n_vertices)]
     for (u, v) in g.arcs:
-        nbrs[u].append((v, True))
-        nbrs[v].append((u, False))
-    nbrs = tuple(tuple(sorted(ns)) for ns in nbrs)
+        succ[u].append(v)
+        pred[v].append(u)
+    adj = tuple(tuple(sorted(s) + [-1] + sorted(p)) if s or p else () for s, p in zip(succ, pred))
+    nbrs = [sorted(s + p) for s, p in zip(succ, pred)]
     placed, order, starts = [False] * g.n_vertices, [], set()
     for root in sorted(range(g.n_vertices), key=lambda v: (-len(nbrs[v]), v)):
         if placed[root] or not nbrs[root]:
@@ -639,17 +650,17 @@ def _reference_neighbors_and_order(g):
         order.append(root)
         head = len(order) - 1
         while head < len(order):
-            for (w, _) in nbrs[order[head]]:
+            for w in nbrs[order[head]]:
                 if not placed[w]:
                     placed[w] = True
                     order.append(w)
             head += 1
-    return nbrs, (tuple(order), frozenset(starts))
+    return adj, (tuple(order), frozenset(starts))
 
 
 def test_sparse_neighbors_and_order_match_the_reference():
     """Graphs with isolated vertices among the linked ones, several
-    components and tied degrees get the reference's neighbors and order."""
+    components and tied degrees get the reference's adjacency and order."""
     rng = random.Random(7)
     graphs = [OrientedGraph(1, ()), OrientedGraph(5, ((3, 1),)), build_hex_grid(4, 5).graph]
     for _ in range(200):
@@ -658,15 +669,15 @@ def test_sparse_neighbors_and_order_match_the_reference():
         pairs = rng.sample(pairs, rng.randint(0, min(n, len(pairs))))
         graphs.append(OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u) for (u, v) in pairs]))
     for g in graphs:
-        assert (g.neighbors, g.search_order) == _reference_neighbors_and_order(g)
+        assert (g.adjacency, g.search_order) == _reference_adjacency_and_order(g)
 
 
 def test_isolated_vertices_cost_no_list_each():
-    """10^6 vertices and one arc: neighbors and search_order peak at three
-    8 MB arrays of one pointer per vertex, not a list per vertex (73 MB)."""
+    """10^6 vertices and one arc: adjacency and search_order peak at a few
+    arrays of one pointer or byte per vertex, not a list per vertex (73 MB)."""
     g = OrientedGraph(MAX_VERTICES, ((0, 1),))
-    assert _traced_peak(lambda: (g.neighbors, g.search_order)) < 30 * 10**6
-    assert g.neighbors[:3] == (((1, True),), ((0, False),), ())
+    assert _traced_peak(lambda: (g.adjacency, g.search_order)) < 30 * 10**6
+    assert g.adjacency[:3] == ((1, -1), (-1, 0), ())
     assert g.search_order == ((0, 1), frozenset({0}))
 
 
@@ -678,7 +689,7 @@ def assert_validated_copy_equal(g):
     """g, built without the arc check, passes it and equals its checked copy."""
     checked = OrientedGraph(g.n_vertices, g.arcs)
     assert checked == g and hash(checked) == hash(g)
-    assert set(checked.arcs) == set(g.arcs) and checked.neighbors == g.neighbors
+    assert set(checked.arcs) == set(g.arcs) and checked.adjacency == g.adjacency
 
 
 @pytest.mark.parametrize("m,n", CROSS_CHECK_SHAPES)
@@ -695,6 +706,47 @@ def test_unchecked_orientations_pass_the_arc_check(m, n):
         assert len(orientations) == 64
         for o in orientations:
             assert_validated_copy_equal(o)
+
+
+@pytest.mark.parametrize("m,n", CROSS_CHECK_SHAPES)
+def test_reorientations_share_their_base_order(m, n):
+    """orient, random_orientation, enumerate_orientations and a
+    re-orientation of a re-orientation all search in the grid graph's own
+    order, which a checked copy of each computes for itself; the link to
+    the base shows in no value."""
+    g = build_hex_grid(m, n).graph
+    orientations = []
+    for seed in range(3):
+        rng = random.Random(seed)
+        once = random_orientation(g, seed)
+        orientations += [once, orient(g, [rng.getrandbits(1) for _ in g.arcs]),
+                         random_orientation(once, seed + 3),
+                         orient(once, [rng.getrandbits(1) for _ in g.arcs])]
+    if len(g.arcs) <= digraph.MAX_ENUMERATION_EDGES:
+        orientations += itertools.islice(enumerate_orientations(g), 4)
+    for o in orientations:
+        assert o.search_order is g.search_order
+        checked = OrientedGraph(o.n_vertices, o.arcs)
+        assert checked.search_order == g.search_order
+        assert o == checked and hash(o) == hash(checked) and repr(o) == repr(checked)
+        assert o._values() == checked._values() == (o.n_vertices, o.arcs)
+
+
+def test_kept_reorientations_hold_little_search_state():
+    """16 kept H_{20,20} re-orientations hold their adjacency and their
+    search order, the base's order included, in under 2 MB (1.2 MB by
+    tracemalloc); a (neighbor, direction) pair per arc end and an order of
+    their own held 3.4 MB."""
+    g = build_hex_grid(20, 20).graph
+    kept = [random_orientation(g, seed) for seed in range(16)]
+    tracemalloc.start()
+    try:
+        for o in kept:
+            o.adjacency, o.search_order
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2 * 10**6
 
 
 def shared_arc_kinds(oriented, g, free=None):

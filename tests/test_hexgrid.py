@@ -228,7 +228,7 @@ def test_h4_first_six_vertices_form_hexagon():
 
 def test_h4_degree_bound():
     g = fixture_h4().graph
-    assert all(len(g.neighbors[v]) <= 3 for v in range(18))
+    assert all(len(adj) - 1 <= 3 for adj in g.adjacency)
 
 
 def test_h49_counts_and_structure():

@@ -98,7 +98,7 @@ def _root_propagation(g, t):
     full = (1 << t.order) - 1
     doms, trail = [full] * g.n_vertices, []
     wiped = homomorphism._propagate(
-        set(range(g.n_vertices)), doms, trail, g.neighbors, t.out_support, t.in_support
+        set(range(g.n_vertices)), doms, trail, g.adjacency, t.out_support, t.in_support
     )
     return wiped, [full] * g.n_vertices, doms, trail
 
@@ -115,20 +115,31 @@ def test_propagate_names_its_wipeout_arc():
     wiped, before, doms, trail = _root_propagation(DIRECTED_C3, t)
     assert wiped is not None
     v, w = wiped
-    outgoing = dict(DIRECTED_C3.neighbors[v])[w]  # KeyError unless w neighbors v
-    sup = t.out_support if outgoing else t.in_support
+    assert (v, w) in DIRECTED_C3.arcs or (w, v) in DIRECTED_C3.arcs
+    sup = t.out_support if (v, w) in DIRECTED_C3.arcs else t.in_support
     assert doms[w] and not doms[w] & sup[doms[v]]  # w's domain is left as it was
     assert all(doms)
     for (u, d) in reversed(trail):
         doms[u] = d
     assert doms == before
-    # one pending vertex, colored with t's sink, and one arc out of it
-    sink = t.out_masks.index(0)
-    doms, trail = [1 << sink, 0b111], []
-    arc = OrientedGraph(2, ((0, 1),))
-    wiped = homomorphism._propagate({0}, doms, trail, arc.neighbors, t.out_support, t.in_support)
-    assert wiped == (0, 1)
-    assert doms == [1 << sink, 0b111] and trail == []
+
+
+@pytest.mark.parametrize("through", ["successor", "predecessor"])
+def test_propagate_wipes_out_through_a_successor_or_a_predecessor(through):
+    """Vertex 0 has successor 1 and predecessor 2. Colored with the sink,
+    it leaves its successor no color; colored with the source, its
+    predecessor none, once the revision has switched to the in-support."""
+    t = TRANSITIVE_3
+    full = 0b111
+    color, w = (t.out_masks.index(0), 1) if through == "successor" else (t.in_masks.index(0), 2)
+    g = OrientedGraph(3, ((0, 1), (2, 0)))
+    doms, trail = [1 << color, full, full], []
+    wiped = homomorphism._propagate({0}, doms, trail, g.adjacency, t.out_support, t.in_support)
+    assert wiped == (0, w)
+    assert doms[w] == full  # w's domain is left as it was
+    for (u, d) in reversed(trail):
+        doms[u] = d
+    assert doms == [1 << color, full, full]
 
 
 def test_found_witnesses_are_valid():
@@ -433,7 +444,7 @@ def test_search_order_kept_with_the_graph():
         homomorphism_exists(g, named_tournament("T11"))
         order, starts = g.search_order
         assert (order, starts) == copy_of(g).search_order
-        assert sorted(order) == [v for v in range(g.n_vertices) if g.neighbors[v]]
+        assert sorted(order) == [v for v in range(g.n_vertices) if g.adjacency[v]]
         assert isinstance(order, tuple) and isinstance(starts, frozenset)
 
 

@@ -19,7 +19,7 @@ RECORDS = {
         lambda: OrientedGraph(2, ((1, 0),)),
         "OrientedGraph(n_vertices=2, arcs=((0, 1),))",
         True,
-        "neighbors",
+        "adjacency",
     ),
     "HexGrid": (
         lambda: HexGrid(1, 1),
