@@ -21,10 +21,7 @@ a grid's graph lists each edge from its smaller coordinate, and orient,
 enumerate_orientations and random_orientation keep or reverse its arcs,
 one bit each. A re-orientation makes no arc of its own: each of its arcs
 is its base graph's own tuple or the reversed tuple that the base keeps,
-built once per base graph. Nor does it compute a search order: it
-searches in its base's order, which depends only on the edges they
-share, and a re-orientation of a re-orientation in that of the first
-base.
+built once per base graph.
 
 Arcs are checked where they enter the program, in the public
 OrientedGraph constructor and in the parser; a graph that orihex derives
@@ -157,11 +154,6 @@ class OrientedGraph(Record):
     n_vertices: int
     arcs: tuple[tuple[int, int], ...]
 
-    #: the root graph a re-orientation was made from (see _directed), else
-    #: None; unannotated, so not a field: equality, hashing and repr
-    #: do not see it
-    _base = None
-
     def __init__(self, n_vertices: int, arcs: Iterable[tuple[int, int]]):
         super().__init__(n_vertices, tuple(arcs))
         seen = set()
@@ -230,12 +222,7 @@ class OrientedGraph(Record):
         maximum-degree vertex, the lowest index on ties. Isolated vertices
         are neither sorted nor placed: any color serves them, so the search
         gives each its lowest without a node.
-
-        The order depends only on the edges, not on their directions, so a
-        re-orientation returns its base graph's order (see _directed).
         """
-        if self._base is not None:
-            return self._base.search_order
         adj = self.adjacency
         placed = bytearray(self.n_vertices)
         order: list[int] = []
@@ -450,13 +437,9 @@ def _directed(g: OrientedGraph, bits: Iterable[int]) -> OrientedGraph:
     rules out every fault an arc could have here.
 
     Arc i of the result is the very tuple g.arcs[i] or g._reversed_arcs[i],
-    so a re-orientation allocates only its outer tuple. It records g, or
-    g's own base if g is a re-orientation too, as its _base, whose
-    search_order it shares.
+    so a re-orientation allocates only its outer tuple.
     """
-    graph = _unchecked(g.n_vertices, tuple(map(getitem, zip(g._reversed_arcs, g.arcs), bits)))
-    graph.__dict__["_base"] = g if g._base is None else g._base
-    return graph
+    return _unchecked(g.n_vertices, tuple(map(getitem, zip(g._reversed_arcs, g.arcs), bits)))
 
 
 def orient(g: OrientedGraph, code: Iterable[int] | str) -> OrientedGraph:

@@ -141,9 +141,8 @@ def homomorphism_exists(
     colors run out, so each position starts at the trail length it marked.
 
     Vertices are assigned in the static order of `g.search_order`, which
-    the graph computes on its first search and keeps for every later one
-    (a re-orientation takes its base graph's), target vertices tried in
-    ascending order. Isolated vertices are not in
+    the graph computes on its first search and keeps for every later one,
+    target vertices tried in ascending order. Isolated vertices are not in
     the order: each takes color 0 without a node, and an empty target
     leaves any graph with a vertex uncolorable. Propagation only removes
     colors that no homomorphism extending the current assignment uses, so

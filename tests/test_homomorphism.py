@@ -128,15 +128,23 @@ def test_propagate_names_its_wipeout_arc():
 def test_propagate_wipes_out_through_a_successor_or_a_predecessor(through):
     """Vertex 0 has successor 1 and predecessor 2. Colored with the sink,
     it leaves its successor no color; colored with the source, its
-    predecessor none, once the revision has switched to the in-support."""
+    predecessor none, once the revision has switched to the in-support.
+    A wipeout pushes nothing for w: the trail holds only the narrowings
+    made before it, none for the sink and the successor's for the source."""
     t = TRANSITIVE_3
     full = 0b111
-    color, w = (t.out_masks.index(0), 1) if through == "successor" else (t.in_masks.index(0), 2)
     g = OrientedGraph(3, ((0, 1), (2, 0)))
+    if through == "successor":
+        color, w = t.out_masks.index(0), 1
+        narrowed, pushed = [1 << color, full, full], []
+    else:
+        color, w = t.in_masks.index(0), 2
+        narrowed, pushed = [1 << color, full & ~(1 << color), full], [(1, full)]
     doms, trail = [1 << color, full, full], []
     wiped = homomorphism._propagate({0}, doms, trail, g.adjacency, t.out_support, t.in_support)
     assert wiped == (0, w)
-    assert doms[w] == full  # w's domain is left as it was
+    assert doms == narrowed and doms[w] == full  # w's domain is left as it was
+    assert trail == pushed
     for (u, d) in reversed(trail):
         doms[u] = d
     assert doms == [1 << color, full, full]
