@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import time
+from array import array
 from collections.abc import Sequence
 
 from .digraph import OrientedGraph, Record
@@ -142,9 +143,9 @@ def homomorphism_exists(
 
     Vertices are assigned in the static order of `g.search_order`, which
     the graph computes on its first search and keeps for every later one,
-    target vertices tried in ascending order. Isolated vertices are not in
-    the order: each takes color 0 without a node, and an empty target
-    leaves any graph with a vertex uncolorable. Propagation only removes
+    target vertices tried in ascending order. Isolated vertices are in
+    neither the order nor root propagation: each takes color 0 without a
+    node, and an empty target leaves any graph with a vertex uncolorable. Propagation only removes
     colors that no homomorphism extending the current assignment uses, so
     the witness is the lexicographically first in that order; it and the
     verdict are deterministic. Components share no arcs: when the first
@@ -166,16 +167,15 @@ def homomorphism_exists(
     if not full and g.n_vertices:
         # no color for any vertex, an isolated one included
         return HomResult(False, None, 0, 0)
+    order, starts = g.search_order
     doms = [full] * g.n_vertices
     trail: list[tuple[int, int]] = []
     # full domains are arc consistent unless the target has a source or a sink
     if (
         out_sup[full] & in_sup[full] != full
-        and _propagate(set(range(g.n_vertices)), doms, trail, adj, out_sup, in_sup)
-        is not None
+        and _propagate(set(order), doms, trail, adj, out_sup, in_sup) is not None
     ):
         return HomResult(False, None, 0, 0)
-    order, starts = g.search_order
     m = len(order)
     choices = [0] * m  # colors still to try at each position
     marks = [0] * m  # trail length before each position's assignment
@@ -214,11 +214,9 @@ def homomorphism_exists(
             choices[p] = doms[order[p]]
             marks[p] = len(trail)
 
-    if m < g.n_vertices:
-        # the vertices left out of the order are isolated and keep full domains
-        colors = [d.bit_length() - 1 if a else 0 for (d, a) in zip(doms, adj)]
-    else:
-        colors = [d.bit_length() - 1 for d in doms]
+    colors = [0] * g.n_vertices  # isolated vertices are left out of the order
+    for v in order:
+        colors[v] = doms[v].bit_length() - 1
     del doms  # freed before the witness tuple is built
     witness = tuple(colors)
     assert validate_homomorphism(g, t, witness)
@@ -251,22 +249,25 @@ def brute_force_hom(g: OrientedGraph, t: Tournament) -> HomResult:
     """Dynamic program over g's vertices in index order: the independent
     oracle for homomorphism_exists, reading only t's out- and in-masks.
 
-    A state is the tuple of colors of the frontier. Each layer maps every
-    reachable state to the (previous state, color) that first reached it,
-    so a FOUND result reads its witness back. Instances whose frontier
-    allows more than BRUTE_FORCE_GUARD states are refused before the DP
-    starts. `nodes_expanded` counts the states reached and `max_depth` the
-    vertices processed.
+    A state is the tuple of colors of the frontier. The live layer maps
+    every reachable state to p * k + c: the index p, in the previous
+    layer's order, of the state that first reached it, and its color c.
+    A finished layer keeps only an array of these ints, from which a FOUND
+    result reads its witness back. Instances whose frontier allows more
+    than BRUTE_FORCE_GUARD states are refused before the DP starts.
+    `nodes_expanded` counts the states reached and `max_depth` the vertices
+    processed.
     """
     k = t.order
     steps = _frontier_steps(g, k)
     out, inn = t.out_masks, t.in_masks
-    layers: list[dict] = [{(): None}]
+    layer: dict = {(): 0}
+    links: list[array] = []
     nodes = 0
     for (back, keep, stays) in steps:
         checks = [(i, out if tail else inn) for (i, tail) in back]
         reached: dict = {}
-        for state in layers[-1]:
+        for p, state in enumerate(layer):
             allowed = (1 << k) - 1
             for (i, masks) in checks:
                 allowed &= masks[state[i]]
@@ -276,15 +277,16 @@ def brute_force_hom(g: OrientedGraph, t: Tournament) -> HomResult:
             while allowed:
                 c = (allowed & -allowed).bit_length() - 1
                 allowed ^= 1 << c
-                reached.setdefault(kept + (c,) if stays else kept, (state, c))
+                reached.setdefault(kept + (c,) if stays else kept, p * k + c)
         nodes += len(reached)
         if not reached:
-            return HomResult(False, None, nodes, len(layers))
-        layers.append(reached)
+            return HomResult(False, None, nodes, len(links) + 1)
+        links.append(array("q", reached.values()))
+        layer = reached
     witness = [0] * len(steps)
-    state = ()  # the frontier is empty after the last vertex
+    p = 0  # the frontier is empty after the last vertex: one state
     for v in reversed(range(len(steps))):
-        state, witness[v] = layers[v + 1][state]
+        p, witness[v] = divmod(links[v][p], k)
     assert validate_homomorphism(g, t, witness)
     return HomResult(True, tuple(witness), nodes, len(steps))
 

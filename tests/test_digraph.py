@@ -20,6 +20,8 @@ from orihex.digraph import (
     serialize_digraph,
 )
 from orihex.hexgrid import build_hex_grid, fixture_file_bytes, fixture_h4, orientation_extending
+from orihex.homomorphism import homomorphism_exists
+from orihex.tournaments import named_tournament
 
 
 def path(n):
@@ -674,11 +676,16 @@ def test_sparse_neighbors_and_order_match_the_reference():
 
 def test_isolated_vertices_cost_no_list_each():
     """10^6 vertices and one arc: adjacency and search_order peak at a few
-    arrays of one pointer or byte per vertex, not a list per vertex (73 MB)."""
+    arrays of one pointer or byte per vertex, not a list per vertex (73 MB),
+    and so does a search whose root propagation runs (T1 has a source):
+    propagating every isolated vertex took 78.5 MB."""
     g = OrientedGraph(MAX_VERTICES, ((0, 1),))
     assert _traced_peak(lambda: (g.adjacency, g.search_order)) < 30 * 10**6
     assert g.adjacency[:3] == ((1, -1), (-1, 0), ())
     assert g.search_order == ((0, 1), frozenset({0}))
+    t1 = named_tournament("T1")
+    assert _traced_peak(homomorphism_exists, g, t1) < 30 * 10**6
+    assert homomorphism_exists(g, t1).witness == (1, 0) + (0,) * (MAX_VERTICES - 2)
 
 
 CROSS_CHECK_SHAPES = [(k, k) for k in range(1, 7)] + [

@@ -23,6 +23,7 @@ from orihex.tournaments import (
     named_tournament,
     parse_tournament,
 )
+from test_digraph import _traced_peak
 
 THREE_CYCLE_T = Tournament.from_arcs(3, [(0, 1), (1, 2), (2, 0)])
 TRANSITIVE_3 = parse_tournament("111", 3)
@@ -174,6 +175,20 @@ def test_brute_force_guard():
     # in index order H49's frontier is 19 vertices wide: 5^19 states
     with pytest.raises(ValueError, match="frontier states exceed"):
         brute_force_hom(fixture_h49().graph, named_tournament("T5"))
+
+
+def test_oracle_keeps_one_live_layer():
+    """H_{5,5}'s 74,049 states peak under 4 MB: the finished layers keep one
+    int per state; a dict of (state, color) pairs per layer took 13.5 MB.
+    The witness, the counts and a NONE case are the first-reacher DP's."""
+    t5 = named_tournament("T5")
+    g = random_orientation(build_hex_grid(5, 5).graph, 1)
+    assert _traced_peak(brute_force_hom, g, t5) < 4 * 10**6
+    assert brute_force_hom(g, t5) == HomResult(True, (
+        0, 1, 2, 0, 1, 3, 2, 0, 1, 2, 0, 4, 0, 3, 0, 4, 0, 4, 1, 3, 2, 1, 0, 1,
+        2, 3, 1, 4, 0, 2, 0, 3, 1, 3, 2, 1, 4, 3, 1, 4, 0, 4, 3, 2, 1, 0, 4, 0,
+        4, 0, 1, 3, 1, 2, 0, 3, 1, 0, 4, 1, 3, 0, 1, 0, 4, 3, 1, 2, 3, 0), 74049, 70)
+    assert brute_force_hom(fixture_h4().graph, t5) == HomResult(False, None, 709, 18)
 
 
 def test_oracle_decides_h4_fixture_verdicts():
